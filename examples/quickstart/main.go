@@ -50,7 +50,7 @@ func main() {
 		m.MGBA.WNS, m.MGBA.TNS, len(m.MGBA.ViolatingEndpoints()))
 
 	// 4. Accuracy against golden PBA over the selected paths.
-	gba, _ := m.Evaluate("gba")
+	gba, _ := m.Evaluate("cheap")
 	mgba, _ := m.Evaluate("mgba")
 	fmt.Printf("pass ratio (within 5%% or 5 ps of PBA): GBA %.1f%% -> mGBA %.1f%%\n",
 		gba.PassRatio*100, mgba.PassRatio*100)

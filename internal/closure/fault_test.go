@@ -359,40 +359,34 @@ func TestCancelDuringRecalibration(t *testing.T) {
 	}
 }
 
-// TestFlowSurvivesCorruptedRowPatch: poisoning every incrementally patched
-// problem row with NaN must push the solve down the degradation ladder to
-// identity weights, invalidate the calibrator's cache (so the following
-// cold calibration is clean), and never leak non-finite state.
+// TestFlowSurvivesCorruptedRowPatch: poisoning every row an incremental
+// recalibration rebuilds with NaN must push the solve down the
+// degradation ladder to identity weights, invalidate the calibrator's
+// cache (so the following cold calibration is clean), and never leak
+// non-finite state.
 func TestFlowSurvivesCorruptedRowPatch(t *testing.T) {
-	// Seed chosen so the repair trajectory keeps the calibrator's column
-	// map prefix-stable across several recalibrations (rows get patched
-	// rather than the matrix rebuilt).
-	d := faultDesign(t, 8028)
-	patched := 0
-	faultinject.SetSlice(faultinject.SparseRowPatch, func(v []float64) {
-		patched++
+	d := faultDesign(t, 8010)
+	corrupted := 0
+	faultinject.SetSlice(faultinject.RecalibrateRow, func(v []float64) {
+		corrupted++
 		for i := range v {
 			v[i] = math.NaN()
 		}
 	})
 	defer faultinject.Reset()
 	opt := fastOptions(closure.TimerMGBA)
-	// A tight cadence keeps each dirty batch small, so the calibrator's
-	// column map stays prefix-stable and rows are patched in place (large
-	// batches fall back to a full matrix rebuild, bypassing the hook).
-	opt.RecalibrateEvery = 4
 	res, err := closure.Run(context.Background(), d, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Validate(); err != nil {
-		t.Fatalf("design invalid after corrupted-patch run: %v", err)
+		t.Fatalf("design invalid after corrupted-row run: %v", err)
 	}
-	if patched == 0 {
-		t.Skip("no incremental row patches happened; fixture too tame")
+	if corrupted == 0 {
+		t.Fatal("no incremental recalibration rebuilt a row")
 	}
 	if res.DegradedCalibrations == 0 && len(res.Faults) == 0 {
-		t.Fatal("corrupted row patches left no degradation or fault record")
+		t.Fatal("corrupted rows left no degradation or fault record")
 	}
 	for i, w := range res.Weights {
 		if math.IsNaN(w) || math.IsInf(w, 0) {

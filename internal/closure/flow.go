@@ -351,9 +351,9 @@ func (f *flow) refresh() error {
 // calibrate refreshes the mGBA weights (or simply re-analyzes under GBA),
 // running against the flow's persistent calibrator so the per-design state
 // is never recomputed mid-flow: a recalibration re-enumerates only the
-// endpoints reached by the dirty gates' fan-out cones and patches the dirty
-// rows of the cached calibration problem, warm-starting the solve from the
-// previous correction. A calibrator left stale by an accepted structural
+// endpoints reached by the dirty gates' fan-out cones and rebuilds the
+// calibration problem from the cached paths, warm-starting the solve from
+// the previous correction. A calibrator left stale by an accepted structural
 // move is first rebound to the current session (the instance set is
 // intact, so the cache survives). Calibration cannot fail the flow: a
 // solver fault degrades down core's solver ladder — at worst to identity

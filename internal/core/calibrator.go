@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -9,70 +10,66 @@ import (
 	"mgba/internal/obs"
 	"mgba/internal/pathsel"
 	"mgba/internal/pba"
-	"mgba/internal/solver"
-	"mgba/internal/sparse"
 	"mgba/internal/sta"
 )
 
 // Calibrator is a persistent calibration session bound to an
 // engine.Session, mirroring the engine's immutable-vs-per-run split on the
 // calibration side. A cold Calibrate runs the full pipeline and caches its
-// intermediate state: the baseline GBA result, the per-endpoint selected
-// path sets with their golden retimings, the assembled Eq. (9) matrix and
-// its column mapping. A subsequent Recalibrate, fed the set of instances
-// the closure flow touched since, then redoes only the invalidated part:
-// the baseline advances through the engine's incremental update, only
-// endpoints whose fan-in cone contains a touched gate are re-enumerated
-// and retimed, only their rows of A are patched in place, and the solve is
-// warm-started from the previous fit. Every shortcut is exact — an
-// incremental Recalibrate returns bit-identical weights to a cold
-// Calibrate of the same design state — so the cache is purely a
-// performance artifact.
+// intermediate state: every corner's baseline cheap result, the
+// per-endpoint selected path groups and every corner's golden retimings of
+// them. A subsequent Recalibrate, fed the set of instances the closure
+// flow touched since, then redoes only the invalidated part: the baselines
+// advance through the engine's incremental update, only endpoints whose
+// fan-in cone contains a touched gate are re-enumerated and retimed, the
+// Eq. (9) rows are rebuilt from the cached groups by the same assembler a
+// cold calibration uses, and the solve is warm-started from the previous
+// fit. Every shortcut is exact — an incremental Recalibrate returns
+// bit-identical weights to a cold Calibrate of the same design state — so
+// the cache is purely a performance artifact.
 //
 // The cache is dropped (forcing the next call cold) whenever its validity
-// cannot be guaranteed: a cancelled or faulted calibration, a dirty set
-// touching the clock network, a selection truncated by the MaxPaths cap.
-// Topology changes (buffer insertion) invalidate the engine.Session
-// itself; build a new Calibrator on the new session, seeded with the old
-// weights via Options.WarmWeights or SetWarmWeights.
+// cannot be guaranteed: a cancelled, faulted or failed calibration, a
+// dirty set touching the clock network, a population over MaxPaths. A
+// streamed (Options.StreamShard > 0) calibrator keeps no cache: every call
+// runs cold. Topology changes (buffer insertion) invalidate the
+// engine.Session itself; build a new Calibrator on the new session, seeded
+// with the old weights via Options.WarmWeights or SetWarmWeights.
 //
-// A Calibrator is not safe for concurrent use. Recalibrate mutates the
-// cached matrix in place, so the Problem of a previously returned Model is
-// stale after the next (re)calibration; the Model's weights and timing
-// results remain valid.
+// A Calibrator is not safe for concurrent use. Returned models are never
+// mutated by later calls.
 type Calibrator struct {
-	sess *engine.Session
-	cfg  sta.Config
-	opt  Options
-	warm []float64 // per-instance weights seeding the next solve
+	sess    *engine.Session
+	opt     Options
+	pair    ViewPair
+	oneShot bool // throwaway calibrator: skip the weighted caches
 
-	// The bound view pair: cheap produces the baseline the selection is
-	// enumerated on and the Eq. (9) rows; golden produces the fit targets.
-	pair   ViewPair
-	cheap  CheapView
-	golden GoldenProvider
+	// corners[0] is the selection corner: paths are enumerated on its
+	// baseline. A plain calibrator is a one-corner list.
+	corners []*corner
 
-	// corners holds the extra (non-selection) corners of a multi-corner
-	// calibration, each with its own bound view pair instances; empty for
-	// a single-corner calibrator. The calibrator's own cfg/cheap/golden
-	// are the selection corner (Options.Corners[0]).
-	corners []*cornerState
-
-	// Cache of the last healthy calibration; eps == nil means no cache.
-	gba      *sta.Result // cached baseline, advanced in place via Update
-	mgba     *sta.Result // private weighted re-analysis, advanced via Update
-	mweights []float64   // weights mgba was last evaluated under
-	oneShot  bool        // throwaway calibrator: skip the weighted cache
-	eps      []int       // tracked endpoints: D.FFs positions, FF order
-	slotOf   map[int]int // D.FFs position -> index into eps/groups
-	groups   [][]*pba.Path
-	tgroups  [][]*pba.Timing
-	targets  [][]float64 // per slot, parallel to groups
-	guards   [][]float64
-	mat      *sparse.Matrix
-	cols     []int // column -> instance ID
+	// The shared enumeration cache; groups == nil means no cache.
+	eps    []int       // tracked endpoints: D.FFs positions, FF order
+	slotOf map[int]int // D.FFs position -> index into eps/groups
+	groups [][]*pba.Path
 
 	stats CalibratorStats
+}
+
+// corner is one analysis corner of a calibration: its bound views, the
+// warm start of its next solve and, while the cache is valid, its cached
+// baseline, weighted re-analysis and golden retimings.
+type corner struct {
+	spec   CornerSpec
+	cfg    sta.Config
+	cheap  CheapView
+	golden GoldenProvider
+	warm   []float64 // per-instance weights seeding the next solve
+
+	gba      *sta.Result     // cheap baseline, advanced in place via Update
+	mgba     *sta.Result     // private weighted re-analysis, advanced via Update
+	mweights []float64       // weights mgba was last evaluated under
+	tgroups  [][]*pba.Timing // golden retimings, parallel to Calibrator.groups
 }
 
 // CalibratorStats counts what the calibrator actually did, for benchmarks
@@ -81,9 +78,11 @@ type CalibratorStats struct {
 	Cold                  int // full-pipeline calibrations (incl. fallbacks)
 	Incremental           int // recalibrations served from the cache
 	EndpointsReenumerated int // endpoint searches run by incremental calls
-	RowsPatched           int // matrix rows spliced in place
-	MatrixRebuilds        int // incremental calls that rebuilt A from cache
 }
+
+// errCancelled aborts golden retiming on context cancellation; the caller
+// abandons the model.
+var errCancelled = errors.New("core: calibration cancelled")
 
 // NewCalibrator validates the configuration, resolves the view pair
 // named by Options.ViewPair and binds a calibration session to s.
@@ -96,7 +95,7 @@ func NewCalibrator(s *engine.Session, cfg sta.Config, opt Options) (*Calibrator,
 }
 
 // newBoundCalibrator is the shared constructor: validate, resolve the
-// pair, instantiate its views on the session.
+// pair, instantiate its views on the session once per corner.
 func newBoundCalibrator(s *engine.Session, cfg sta.Config, opt Options, oneShot bool) (*Calibrator, error) {
 	if err := validateOptions(cfg, opt); err != nil {
 		return nil, err
@@ -110,49 +109,41 @@ func newBoundCalibrator(s *engine.Session, cfg sta.Config, opt Options, oneShot 
 		// alone; force the exact enforcement the pair declares it needs.
 		opt.StrictSafety = true
 	}
-	// Derive every corner's analysis config once, up front: the scaled
-	// derate tables are pointer-stable for the calibrator's lifetime, so
-	// the engine's clock-state cache hits on every run of every corner.
-	var cornerCfgs []sta.Config
-	if len(opt.Corners) > 0 {
-		cornerCfgs = make([]sta.Config, len(opt.Corners))
-		for i, spec := range opt.Corners {
-			ccfg, err := cornerConfig(cfg, s.G.D, spec)
-			if err != nil {
-				return nil, err
-			}
-			cornerCfgs[i] = ccfg
-		}
-		// Corners[0] is the selection corner: the calibrator's own views
-		// run under it, so an N=1 set with the identity spec is the plain
-		// single-corner pipeline bit for bit.
-		cfg = cornerCfgs[0]
-		if len(opt.Corners) > 1 {
-			// With several corners the soft penalty cannot vouch for all of
-			// them; force the exact Eq. (5) enforcement on every fit.
-			opt.StrictSafety = true
-		}
+	specs := opt.Corners
+	if len(specs) == 0 {
+		// The identity spec: the plain calibrator is a one-corner list
+		// running under cfg itself.
+		specs = []CornerSpec{{}}
 	}
-	cheap, golden, err := vp.Bind(s, cfg, opt)
-	if err != nil {
-		return nil, err
+	if len(specs) > 1 {
+		// With several corners the soft penalty cannot vouch for all of
+		// them; force the exact Eq. (5) enforcement on every fit.
+		opt.StrictSafety = true
 	}
-	c := &Calibrator{
-		sess: s, cfg: cfg, opt: opt, warm: opt.WarmWeights,
-		pair: vp, cheap: cheap, golden: golden, oneShot: oneShot,
-	}
-	for i := 1; i < len(cornerCfgs); i++ {
-		ccheap, cgolden, err := vp.Bind(s, cornerCfgs[i], opt)
+	c := &Calibrator{sess: s, opt: opt, pair: vp, oneShot: oneShot}
+	for _, spec := range specs {
+		// Each corner's scaled derate tables are built once, here: they stay
+		// pointer-stable for the calibrator's lifetime, so the engine's
+		// clock-state cache hits on every run of every corner.
+		ccfg, err := cornerConfig(cfg, s.G.D, spec)
 		if err != nil {
 			return nil, err
 		}
-		c.corners = append(c.corners, &cornerState{
-			spec: opt.Corners[i], cfg: cornerCfgs[i],
-			cheap: ccheap, golden: cgolden, warm: opt.WarmWeights,
+		cheap, golden, err := vp.Bind(s, ccfg, opt)
+		if err != nil {
+			return nil, err
+		}
+		c.corners = append(c.corners, &corner{
+			spec: spec, cfg: ccfg, cheap: cheap, golden: golden, warm: opt.WarmWeights,
 		})
 	}
 	return c, nil
 }
+
+// multiCorner reports whether the calibrator runs under the N >= 2 corner
+// contract: per-corner fits and a merged worst-corner view on the model,
+// and the JointFit stack.
+func (c *Calibrator) multiCorner() bool { return len(c.corners) > 1 }
 
 // Pair returns the name of the view pair the calibrator corrects
 // between.
@@ -164,11 +155,7 @@ func (c *Calibrator) Stats() CalibratorStats { return c.stats }
 // SetWarmWeights replaces the per-instance weights seeding the next solve
 // (the closure flow uses it to carry weights across a session rebuild).
 func (c *Calibrator) SetWarmWeights(w []float64) {
-	if w == nil {
-		c.warm = nil
-		return
-	}
-	c.warm = append([]float64(nil), w...)
+	c.corners[0].warm = append([]float64(nil), w...)
 }
 
 // Rebind moves the calibrator to a new engine.Session after a structural
@@ -177,10 +164,10 @@ func (c *Calibrator) SetWarmWeights(w []float64) {
 // the next Recalibrate a dirty set covering every instance whose timing or
 // graph-derived state (depth, bounding box) the edit moved, whose fan-out
 // cone then covers every endpoint whose cached paths could have changed —
-// clean endpoints' enumerations, retimings and matrix rows are provably
-// still exact. The cached baselines are tied to the old session's graph,
-// so the GBA baseline is re-run on the new session and the private
-// weighted baseline is dropped (the next Recalibrate re-derives it).
+// clean endpoints' enumerations and retimings are provably still exact.
+// The cached baselines are tied to the old session's graph, so every
+// corner's baseline is re-run on the new session and the private weighted
+// baselines are dropped (the next Recalibrate re-derives them).
 //
 // A new session whose design changed instance count voids the cache
 // entirely; Rebind then degrades to an Invalidate and the next call runs
@@ -193,61 +180,42 @@ func (c *Calibrator) Rebind(s *engine.Session) error {
 		len(s.G.D.Instances) == len(c.sess.G.D.Instances) &&
 		len(s.G.D.FFs) == len(c.sess.G.D.FFs)
 	c.sess = s
-	c.cheap.Rebind(s)
-	if err := c.golden.Rebind(s); err != nil {
-		return err
-	}
-	if c.gba != nil {
-		c.gba.Release()
-		c.gba = nil
-	}
-	for _, cs := range c.corners {
-		cs.cheap.Rebind(s)
-		if err := cs.golden.Rebind(s); err != nil {
+	for _, k := range c.corners {
+		k.cheap.Rebind(s)
+		if err := k.golden.Rebind(s); err != nil {
 			return err
 		}
-		if cs.gba != nil {
-			cs.gba.Release()
-			cs.gba = nil
-		}
+		k.gba.Release()
+		k.gba = nil
 	}
 	if !sameShape {
 		c.Invalidate()
 		return nil
 	}
-	c.mgba.Release()
-	c.mgba = nil
-	c.mweights = nil
-	if c.eps != nil {
+	for _, k := range c.corners {
+		k.mgba.Release()
+		k.mgba, k.mweights = nil, nil
+	}
+	if c.groups != nil {
 		obsCalibRebinds.Inc()
-		c.gba = c.cheap.Run()
-		for _, cs := range c.corners {
-			cs.gba = cs.cheap.Run()
+		for _, k := range c.corners {
+			k.gba = k.cheap.Run()
 		}
 	}
 	return nil
 }
 
 // Invalidate drops every cached artifact, forcing the next call cold. The
-// cached baseline is not released here — the last returned Model may still
-// reference it. The weighted cache is private (callers only ever receive
-// clones of it), so its buffers go straight back to the session pool.
+// cached baselines are not released here — the last returned Model may
+// still reference them. The weighted caches are private (callers only
+// ever receive clones of them), so their buffers go straight back to the
+// session pool.
 func (c *Calibrator) Invalidate() {
-	c.gba = nil
-	c.mgba.Release()
-	c.mgba = nil
-	c.mweights = nil
-	c.eps = nil
-	c.slotOf = nil
-	c.groups = nil
-	c.tgroups = nil
-	c.targets = nil
-	c.guards = nil
-	c.mat = nil
-	c.cols = nil
-	for _, cs := range c.corners {
-		cs.tgroups = nil
-		cs.flat = nil
+	c.eps, c.slotOf, c.groups = nil, nil, nil
+	for _, k := range c.corners {
+		k.gba = nil
+		k.mgba.Release()
+		k.mgba, k.mweights, k.tgroups = nil, nil, nil
 	}
 }
 
@@ -256,168 +224,143 @@ func (c *Calibrator) Calibrate(ctx context.Context) (*Model, error) {
 	return c.cold(ctx, nil)
 }
 
-// cold is the full pipeline — identical to the historical one-shot
-// calibrate — plus cache management. sel non-nil substitutes an explicit
-// selection (the §3.2 scheme study), which cannot be cached because its
-// paths are not grouped per endpoint.
+// cold is the full pipeline plus cache management. sel non-nil
+// substitutes an explicit selection (the §3.2 scheme study), which is
+// never cached because its paths are not grouped per endpoint.
 func (c *Calibrator) cold(ctx context.Context, sel *pathsel.Selection) (*Model, error) {
-	if c.gba != nil {
+	for _, k := range c.corners {
 		// The previous cached baseline belongs to this calibrator alone
 		// (callers were handed it inside now-superseded models); recycle
 		// its buffers before running a fresh analysis.
-		c.gba.Release()
-	}
-	for _, cs := range c.corners {
-		if cs.gba != nil {
-			cs.gba.Release()
-			cs.gba = nil
-		}
+		k.gba.Release()
 	}
 	c.Invalidate()
 	c.stats.Cold++
 	obsCalibCold.Inc()
 	sp := obs.StartSpan("calibrate.cold")
 	defer sp.End()
-	m := &Model{G: c.sess.G, Session: c.sess, Cfg: c.cfg, Opt: c.opt, Pair: c.pair.Name(), SafetyScale: 1}
-	m.Opt.WarmWeights = c.warm
-	m.cheap = c.cheap
-	// One baseline timing run is the minimum for a usable model and the
-	// atomic unit of cancellation: it always runs to completion.
-	m.GBA = c.cheap.Run()
-	m.Weights = identity(len(m.G.D.Instances))
-	if cancelled(ctx) {
-		return c.finish(m.abandon("cancelled before path selection")), nil
+	m, err := c.coldFit(ctx, sp, sel)
+	if err != nil {
+		c.Invalidate()
 	}
-	// Re-derive the golden view from the current design state: a cold
+	return m, err
+}
+
+func (c *Calibrator) coldFit(ctx context.Context, sp *obs.Span, sel *pathsel.Selection) (*Model, error) {
+	// One baseline timing run per corner is the minimum for a usable model
+	// and the atomic unit of cancellation: it always runs to completion.
+	for _, k := range c.corners {
+		k.gba = k.cheap.Run()
+	}
+	m := c.newModel(c.corners[0])
+	if cancelled(ctx) {
+		return c.abandon(m, "cancelled before path selection"), nil
+	}
+	// Re-derive the golden views from the current design state: a cold
 	// calibration never trusts an incremental mirror (the default pair's
 	// provider has nothing to derive; the routed pair rebuilds its twin).
-	if err := c.golden.Refresh(); err != nil {
-		return nil, err
-	}
-	if sel == nil && c.opt.StreamShard > 0 {
-		return c.coldStream(ctx, sp, m)
-	}
-	an := pba.NewAnalyzer(m.GBA)
-	spEnum := sp.Child("enumerate")
-	var pop *pathsel.Population
-	if sel != nil {
-		m.Selection = sel
-	} else {
-		pop = pathsel.Enumerate(an, c.opt.K)
-		m.Selection = pop.TopK(c.opt.K, c.opt.MaxPaths)
-	}
-	if len(m.Selection.Paths) == 0 {
-		spEnum.End()
-		// Nothing violates: mGBA degenerates to the cheap baseline.
-		m.MGBA = m.GBA
-		if c.multiCorner() {
-			c.degenerateCorners(m)
-			c.mergeWorst(m)
+	for _, k := range c.corners {
+		if err := k.golden.Refresh(); err != nil {
+			return nil, err
 		}
-		return c.finish(m), nil
 	}
-	timer, err := c.golden.Timer(m.GBA)
+	timers, err := c.timers()
 	if err != nil {
-		spEnum.End()
 		return nil, err
 	}
-	m.Timings = make([]*pba.Timing, len(m.Selection.Paths))
-	for i, p := range m.Selection.Paths {
-		if i%256 == 0 && cancelled(ctx) {
-			spEnum.End()
-			return c.finish(m.abandon("cancelled during golden retiming")), nil
+	streamed := sel == nil && c.opt.StreamShard > 0
+	cache := sel == nil && !streamed
+	var bank *pathsel.Bank
+	if streamed {
+		bank = pathsel.NewBank(0)
+	}
+	if cache {
+		c.slotOf = make(map[int]int)
+	}
+	a := newAssembler(c, false)
+	spEnum := sp.Child("enumerate")
+	// shard retimes and assembles one run of endpoint groups. Shards
+	// arrive in FF order, so the rows come out endpoint-major with columns
+	// mapped by first occurrence — one system however the stream is cut.
+	shard := func(groups [][]*pba.Path) error {
+		// Reject a population over MaxPaths before burning golden retimes
+		// on a shard that can only end in the same error.
+		if err := c.checkMaxPaths(a.rows() + countPaths(groups)); err != nil {
+			return err
 		}
-		m.Timings[i] = timer.Retime(p)
+		tg, err := c.retime(ctx, timers, groups)
+		if err != nil {
+			return err
+		}
+		spEnum.End()
+		spAsm := sp.Child("assemble")
+		err = a.add(groups, tg)
+		spAsm.End()
+		spEnum = sp.Child("enumerate")
+		if cache {
+			for i, k := range c.corners {
+				k.tgroups = append(k.tgroups, tg[i]...)
+			}
+		}
+		return err
+	}
+	if sel != nil {
+		err = shard([][]*pba.Path{sel.Paths})
+	} else {
+		an := pba.NewAnalyzer(m.GBA)
+		err = pathsel.EnumerateStream(an, c.opt.K, c.opt.StreamShard, func(sh *pathsel.Shard) error {
+			if err := shard(sh.Groups); err != nil {
+				return err
+			}
+			if streamed {
+				// The shard's pointer-form paths become garbage here; the
+				// bank keeps them in slab form.
+				return bank.AppendShard(sh)
+			}
+			for _, fi := range sh.Endpoints {
+				c.slotOf[fi] = len(c.eps)
+				c.eps = append(c.eps, fi)
+			}
+			c.groups = append(c.groups, sh.Groups...)
+			return nil
+		})
 	}
 	spEnum.End()
-	spAsm := sp.Child("assemble")
-	if err := m.assemble(); err != nil {
-		spAsm.End()
+	if errors.Is(err, errCancelled) {
+		return c.abandon(m, "cancelled during golden retiming"), nil
+	}
+	if err != nil {
 		return nil, err
 	}
-	spAsm.End()
-	spSolve := sp.Child("solve")
-	if !(c.multiCorner() && c.opt.JointFit) {
-		// Under a joint fit the selection corner's rows are solved inside
-		// the stacked system instead of standalone.
-		if err := m.solve(ctx); err != nil {
-			spSolve.End()
-			return nil, err
+	switch {
+	case sel != nil:
+		m.Selection = sel
+	case streamed:
+		m.Selection = &pathsel.Selection{Scheme: "per-endpoint-top-k-streamed"}
+		if bank.Total() > 0 {
+			m.Bank = bank
 		}
+	default:
+		m.Selection = c.selection(a.rows())
 	}
-	if c.multiCorner() {
-		if err := c.calibrateCorners(ctx, m); err != nil {
-			spSolve.End()
-			if err == errCornersCancelled {
-				return c.finish(m.abandon("cancelled during golden retiming")), nil
-			}
-			return nil, err
-		}
-	}
-	spSolve.End()
-	spVal := sp.Child("validate")
-	wcfg := c.cfg
-	wcfg.Weights = m.Weights
-	m.MGBA = c.sess.Run(wcfg)
-	spVal.End()
-	c.mergeWorst(m)
-	// Fill the cache only when the model is trustworthy and the selection
-	// is the plain endpoint-major concatenation (an mCap-truncated
-	// round-robin selection cannot be patched per endpoint).
-	if pop != nil && !m.Partial && m.Fault == "" && len(m.Selection.Paths) == pop.Total() {
-		c.fillCache(m, pop)
-		c.fillCornerCache()
-		if !c.oneShot {
-			c.mgba = m.MGBA.Clone()
-			c.mweights = append([]float64(nil), m.Weights...)
-		}
+	if err := c.fit(ctx, sp, m, a, nil, cache); err != nil {
+		return nil, err
 	}
 	return c.finish(m), nil
-}
-
-// finish records the model's weights as the next solve's warm start —
-// exactly the closure flow's historical behavior of feeding each
-// calibration's weights into the next via Options.WarmWeights.
-func (c *Calibrator) finish(m *Model) *Model {
-	c.warm = m.Weights
-	return m
-}
-
-// fillCache adopts a cold model's intermediates as the incremental cache,
-// regrouping the flat timing/target/guard vectors per endpoint.
-func (c *Calibrator) fillCache(m *Model, pop *pathsel.Population) {
-	c.gba = m.GBA
-	c.eps = pop.Endpoints()
-	c.groups = pop.Groups()
-	c.slotOf = make(map[int]int, len(c.eps))
-	for i, fi := range c.eps {
-		c.slotOf[fi] = i
-	}
-	c.tgroups = make([][]*pba.Timing, len(c.groups))
-	c.targets = make([][]float64, len(c.groups))
-	c.guards = make([][]float64, len(c.groups))
-	off := 0
-	for s, g := range c.groups {
-		n := len(g)
-		c.tgroups[s] = m.Timings[off : off+n : off+n]
-		c.targets[s] = m.Problem.B[off : off+n : off+n]
-		c.guards[s] = m.Problem.Guard[off : off+n : off+n]
-		off += n
-	}
-	c.mat = m.Problem.A
-	c.cols = m.Columns
 }
 
 // Recalibrate re-fits the weights after the given instances changed (gate
 // or flip-flop resizes; anything that left the graph's connectivity and
 // clock network intact). With a valid cache it runs the incremental path —
-// update the baseline over the dirty cone, re-enumerate and retime only
-// the affected endpoints, patch their rows of A, warm-start the solve —
-// and returns a model bit-identical to a cold Calibrate of the same
-// state. Without one (first call, after a fault, after Invalidate) it
-// falls back to a cold calibration.
+// update the baselines over the dirty cone, re-enumerate and retime only
+// the affected endpoints, rebuild the rows from the cached groups,
+// warm-start the solve — and returns a model bit-identical to a cold
+// Calibrate of the same state. Without one (first call, streamed
+// calibrator, after a fault, after Invalidate) it runs a cold
+// calibration. A re-enumerated population over MaxPaths is an error that
+// also drops the cache.
 func (c *Calibrator) Recalibrate(ctx context.Context, dirty []int) (*Model, error) {
-	if c.eps == nil || c.gba == nil {
+	if c.groups == nil {
 		return c.cold(ctx, nil)
 	}
 	d := c.sess.G.D
@@ -432,22 +375,26 @@ func (c *Calibrator) Recalibrate(ctx context.Context, dirty []int) (*Model, erro
 	obsCalibIncremental.Inc()
 	sp := obs.StartSpan("calibrate.recalibrate")
 	defer sp.End()
-	m := &Model{G: c.sess.G, Session: c.sess, Cfg: c.cfg, Opt: c.opt, Pair: c.pair.Name(), SafetyScale: 1}
-	m.Opt.WarmWeights = c.warm
-	c.gba.Update(dirty)
-	if err := c.golden.Update(dirty); err != nil {
-		// The incremental mirror failed; a cold calibration re-derives the
-		// golden view from scratch instead.
-		return c.cold(ctx, nil)
-	}
-	m.GBA = c.gba
-	m.Weights = identity(len(m.G.D.Instances))
-	m.cheap = c.cheap
-	if cancelled(ctx) {
+	m, err := c.incremental(ctx, sp, dirty)
+	if err != nil {
 		c.Invalidate()
-		return c.finish(m.abandon("cancelled before path selection")), nil
 	}
-	an := pba.NewAnalyzer(m.GBA)
+	return m, err
+}
+
+func (c *Calibrator) incremental(ctx context.Context, sp *obs.Span, dirty []int) (*Model, error) {
+	for _, k := range c.corners {
+		k.gba.Update(dirty)
+		if err := k.golden.Update(dirty); err != nil {
+			// The incremental mirror failed; a cold calibration re-derives
+			// the golden view from scratch instead.
+			return c.cold(ctx, nil)
+		}
+	}
+	m := c.newModel(c.corners[0])
+	if cancelled(ctx) {
+		return c.abandon(m, "cancelled before path selection"), nil
+	}
 	spEnum := sp.Child("enumerate")
 	var slots []int
 	for _, fi := range c.sess.FanoutEndpoints(dirty) {
@@ -461,248 +408,243 @@ func (c *Calibrator) Recalibrate(ctx context.Context, dirty []int) (*Model, erro
 		affected[i] = c.eps[s]
 	}
 	zero := 0.0
-	newGroups := an.KWorstAll(affected, c.opt.K, &zero, c.cfg.Parallelism)
+	groups := pba.NewAnalyzer(m.GBA).KWorstAll(affected, c.opt.K, &zero, m.Cfg.Parallelism)
 	c.stats.EndpointsReenumerated += len(affected)
 	obsEndpointsReenum.Add(int64(len(affected)))
 	if cancelled(ctx) {
 		spEnum.End()
-		c.Invalidate()
-		return c.finish(m.abandon("cancelled before path selection")), nil
+		return c.abandon(m, "cancelled before path selection"), nil
 	}
-	timer, err := c.golden.Timer(m.GBA)
+	for i, s := range slots {
+		c.groups[s] = groups[i]
+	}
+	if err := c.checkMaxPaths(countPaths(c.groups)); err != nil {
+		spEnum.End()
+		return nil, err
+	}
+	timers, err := c.timers()
 	if err != nil {
 		spEnum.End()
 		return nil, err
 	}
-	newTimings := make([][]*pba.Timing, len(newGroups))
-	retimed := 0
-	for i, g := range newGroups {
-		newTimings[i] = make([]*pba.Timing, len(g))
-		for j, p := range g {
-			if retimed%256 == 0 && cancelled(ctx) {
-				spEnum.End()
-				c.Invalidate()
-				return c.finish(m.abandon("cancelled during golden retiming")), nil
-			}
-			newTimings[i][j] = timer.Retime(p)
-			retimed++
-		}
-	}
+	tg, err := c.retime(ctx, timers, groups)
 	spEnum.End()
-	oldCounts := make([]int, len(c.groups))
-	for s, g := range c.groups {
-		oldCounts[s] = len(g)
+	if err != nil {
+		return c.abandon(m, "cancelled during golden retiming"), nil
 	}
-	for i, s := range slots {
-		c.groups[s] = newGroups[i]
-		c.tgroups[s] = newTimings[i]
-	}
-	total := 0
-	for _, g := range c.groups {
-		total += len(g)
-	}
-	if c.opt.MaxPaths > 0 && total > c.opt.MaxPaths {
-		// The cap now binds: the cold selection would be a round-robin
-		// truncation, which the per-endpoint cache cannot reproduce.
-		return c.cold(ctx, nil)
+	cached := make([][][]*pba.Timing, len(c.corners))
+	for i, k := range c.corners {
+		for j, s := range slots {
+			k.tgroups[s] = tg[i][j]
+		}
+		cached[i] = k.tgroups
 	}
 	spAsm := sp.Child("assemble")
-	newCols, colOf := c.columnMap()
-	if err := c.refreshRows(m, slots, oldCounts, newCols, colOf); err != nil {
-		spAsm.End()
-		return nil, err
-	}
-	c.cols = newCols
-	m.Columns = newCols
-	m.Selection = &pathsel.Selection{Scheme: "per-endpoint-top-k"}
-	for _, g := range c.groups {
-		m.Selection.Paths = append(m.Selection.Paths, g...)
-	}
-	for _, tg := range c.tgroups {
-		m.Timings = append(m.Timings, tg...)
-	}
-	if len(m.Selection.Paths) == 0 {
-		spAsm.End()
-		// All violations repaired: degenerate to GBA, and drop the cache —
-		// an empty matrix is not worth patching back to life.
-		m.MGBA = m.GBA
-		c.Invalidate()
-		if c.multiCorner() {
-			c.degenerateCorners(m)
-			c.mergeWorst(m)
-		}
-		return c.finish(m), nil
-	}
-	flatB := make([]float64, 0, total)
-	flatG := make([]float64, 0, total)
-	for s := range c.groups {
-		flatB = append(flatB, c.targets[s]...)
-		flatG = append(flatG, c.guards[s]...)
-	}
-	c.mat.SetParallelism(engine.Workers(c.cfg.Parallelism))
-	m.Problem = &solver.Problem{A: c.mat, B: flatB, Guard: flatG, Penalty: c.opt.Penalty}
-	if err := m.Problem.Validate(); err != nil {
-		spAsm.End()
-		return nil, err
-	}
+	a := newAssembler(c, true)
+	err = a.add(c.groups, cached)
 	spAsm.End()
-	spSolve := sp.Child("solve")
-	var cornerSystems []*cornerSystem
-	if c.multiCorner() {
-		var cerr error
-		cornerSystems, cerr = c.rebuildCornerSystems(ctx, m, slots, dirty)
-		switch cerr {
-		case nil:
-		case errCornerCold:
-			spSolve.End()
-			return c.cold(ctx, nil)
-		case errCornersCancelled:
-			spSolve.End()
-			c.Invalidate()
-			return c.finish(m.abandon("cancelled during golden retiming")), nil
-		default:
-			spSolve.End()
-			return nil, cerr
-		}
+	if err != nil {
+		return nil, err
 	}
-	if !(c.multiCorner() && c.opt.JointFit) {
-		if err := m.solve(ctx); err != nil {
-			spSolve.End()
-			return nil, err
-		}
-	}
-	if c.multiCorner() {
-		if err := c.fitCorners(ctx, m, cornerSystems); err != nil {
-			spSolve.End()
-			return nil, err
-		}
-	}
-	spSolve.End()
-	spVal := sp.Child("validate")
-	defer spVal.End()
-	wcfg := c.cfg
-	wcfg.Weights = m.Weights
-	if c.mgba != nil {
-		// Advance the private weighted baseline instead of re-running the
-		// full weighted analysis: the only instances whose weighted view
-		// changed are the dirty ones and those whose weight moved since the
-		// cached evaluation, so Update over their union is bitwise equal to
-		// a fresh Run under wcfg. The caller gets an independent clone; the
-		// original stays with the calibrator for the next round.
-		wdirty := append([]int(nil), dirty...)
-		for i, w := range m.Weights {
-			if c.mweights[i] != w {
-				wdirty = append(wdirty, i)
-			}
-		}
-		c.mgba.Cfg = wcfg
-		c.mgba.Update(wdirty)
-		copy(c.mweights, m.Weights)
-		m.MGBA = c.mgba.Clone()
-	} else {
-		m.MGBA = c.sess.Run(wcfg)
-	}
-	c.mergeWorst(m)
-	if m.Partial || m.Fault != "" {
-		// A cut-short or faulted fit may have left the patched system in a
-		// state we cannot vouch for; force the next calibration cold.
-		c.Invalidate()
+	m.Selection = c.selection(a.rows())
+	if err := c.fit(ctx, sp, m, a, dirty, true); err != nil {
+		return nil, err
 	}
 	return c.finish(m), nil
 }
 
-// columnMap recomputes the column order from the cached selection: first
-// occurrence over paths in row order, exactly like a cold assemble.
-func (c *Calibrator) columnMap() ([]int, map[int]int) {
-	colOf := make(map[int]int)
-	var cols []int
-	for _, g := range c.groups {
-		for _, p := range g {
-			for _, cell := range p.Cells {
-				if _, ok := colOf[cell]; !ok {
-					colOf[cell] = len(cols)
-					cols = append(cols, cell)
-				}
-			}
-		}
-	}
-	return cols, colOf
+// newModel starts a corner's model: identity weights, the corner's
+// baseline and its warm start.
+func (c *Calibrator) newModel(k *corner) *Model {
+	m := &Model{G: c.sess.G, Session: c.sess, Cfg: k.cfg, Opt: c.opt, Pair: c.pair.Name(), SafetyScale: 1, GBA: k.gba}
+	m.Opt.WarmWeights = k.warm
+	m.Weights = identity(len(m.G.D.Instances))
+	return m
 }
 
-// refreshRows brings the cached matrix and per-slot target/guard vectors
-// up to date for the re-enumerated slots. When the new column order
-// extends the old one (the common case — new gates on dirty paths append
-// columns), only the dirty slots' rows are spliced in place; when columns
-// were reordered, the matrix is rebuilt from the cached rows, still
-// without touching clean endpoints' enumerations or retimings.
-func (c *Calibrator) refreshRows(m *Model, slots, oldCounts []int, newCols []int, colOf map[int]int) error {
-	prefixOK := len(newCols) >= len(c.cols)
-	if prefixOK {
-		for i, id := range c.cols {
-			if newCols[i] != id {
-				prefixOK = false
-				break
-			}
+// timers hands out every corner's golden path replayer for its current
+// baseline.
+func (c *Calibrator) timers() ([]PathTimer, error) {
+	timers := make([]PathTimer, len(c.corners))
+	for i, k := range c.corners {
+		t, err := k.golden.Timer(k.gba)
+		if err != nil {
+			return nil, err
 		}
+		timers[i] = t
 	}
-	dirtySlot := make(map[int]bool, len(slots))
-	for _, s := range slots {
-		dirtySlot[s] = true
-		c.targets[s] = make([]float64, len(c.groups[s]))
-		c.guards[s] = make([]float64, len(c.groups[s]))
-	}
-	if !prefixOK {
-		c.stats.MatrixRebuilds++
-		b := sparse.NewBuilder(len(newCols))
-		for s, g := range c.groups {
+	return timers, nil
+}
+
+// retime is the golden-retime loop: tg[k][gi][j] is path groups[gi][j]
+// replayed by corner k's timer. It returns errCancelled when ctx is done,
+// checked every 256 paths.
+func (c *Calibrator) retime(ctx context.Context, timers []PathTimer, groups [][]*pba.Path) ([][][]*pba.Timing, error) {
+	n := countPaths(groups)
+	tg := make([][][]*pba.Timing, len(timers))
+	done := 0
+	for k, timer := range timers {
+		flat := make([]*pba.Timing, n)
+		tg[k] = make([][]*pba.Timing, len(groups))
+		off := 0
+		for gi, g := range groups {
+			tg[k][gi] = flat[off : off+len(g) : off+len(g)]
 			for j, p := range g {
-				idx, val, target, guard := c.cheap.Row(m.GBA, m.G, m.Opt.Epsilon, colOf, p, c.tgroups[s][j])
-				if err := b.AddRow(idx, val); err != nil {
-					return err
+				if done%256 == 0 && cancelled(ctx) {
+					return nil, errCancelled
 				}
-				if dirtySlot[s] {
-					c.targets[s][j] = target
-					c.guards[s][j] = guard
-				}
+				tg[k][gi][j] = timer.Retime(p)
+				done++
 			}
-		}
-		c.mat = b.Build()
-		return nil
-	}
-	if len(newCols) > len(c.cols) {
-		if err := c.mat.GrowCols(len(newCols)); err != nil {
-			return err
+			off += len(g)
 		}
 	}
-	starts := make([]int, len(c.groups)+1)
-	for s, n := range oldCounts {
-		starts[s+1] = starts[s] + n
-	}
-	shift := 0
-	for _, s := range slots {
-		lo := starts[s] + shift
-		nOld, nNew := oldCounts[s], len(c.groups[s])
-		for j, p := range c.groups[s] {
-			idx, val, target, guard := c.cheap.Row(m.GBA, m.G, m.Opt.Epsilon, colOf, p, c.tgroups[s][j])
-			var err error
-			if j < nOld {
-				err = c.mat.SetRow(lo+j, idx, val)
-			} else {
-				err = c.mat.InsertRow(lo+j, idx, val)
-			}
-			if err != nil {
-				return err
-			}
-			c.stats.RowsPatched++
-			c.targets[s][j] = target
-			c.guards[s][j] = guard
-		}
-		for j := nOld; j > nNew; j-- {
-			if err := c.mat.RemoveRow(lo + nNew); err != nil {
-				return err
-			}
-		}
-		shift += nNew - nOld
+	return tg, nil
+}
+
+// checkMaxPaths rejects a selected population larger than
+// Options.MaxPaths.
+func (c *Calibrator) checkMaxPaths(n int) error {
+	if c.opt.MaxPaths > 0 && n > c.opt.MaxPaths {
+		return fmt.Errorf("core: path population exceeds MaxPaths (%d > %d); raise MaxPaths or lower K", n, c.opt.MaxPaths)
 	}
 	return nil
+}
+
+// selection concatenates the cached groups, endpoint-major: the
+// per-endpoint top-k' selection of §3.2.
+func (c *Calibrator) selection(n int) *pathsel.Selection {
+	sel := &pathsel.Selection{Scheme: "per-endpoint-top-k"}
+	if n > 0 {
+		sel.Paths = make([]*pba.Path, 0, n)
+		for _, g := range c.groups {
+			sel.Paths = append(sel.Paths, g...)
+		}
+	}
+	return sel
+}
+
+func countPaths(groups [][]*pba.Path) int {
+	n := 0
+	for _, g := range groups {
+		n += len(g)
+	}
+	return n
+}
+
+// fit finishes a calibration once every corner's rows are assembled:
+// solve each corner's Eq. (9) system (or the joint stack), re-analyze each
+// corner under its fitted weights and, with N >= 2 corners, attach the
+// per-corner fits and the merged worst-corner view. dirty is an
+// incremental call's dirty set (nil when cold); cache says whether the
+// calibration may leave its enumeration cached.
+func (c *Calibrator) fit(ctx context.Context, sp *obs.Span, m *Model, a *assembler, dirty []int, cache bool) error {
+	m.Columns = a.cols
+	m.GoldenSlack = a.sys[0].golden
+	fits := make([]*Model, len(c.corners))
+	for i, k := range c.corners {
+		fits[i] = m
+		if i > 0 {
+			fits[i] = c.newModel(k)
+			fits[i].Columns = a.cols
+		}
+	}
+	if a.rows() == 0 {
+		// Nothing violates: every corner's mGBA degenerates to its cheap
+		// baseline, which the model now owns — an empty system is not
+		// worth caching.
+		for _, fm := range fits {
+			fm.MGBA = fm.GBA
+		}
+		cache = false
+	} else {
+		spAsm := sp.Child("assemble")
+		for i, fm := range fits {
+			p, err := c.problem(a.sys[i].b, a.sys[i].targets, a.sys[i].guards)
+			if err != nil {
+				spAsm.End()
+				return err
+			}
+			fm.Problem = p
+		}
+		spAsm.End()
+		spSolve := sp.Child("solve")
+		var err error
+		if c.multiCorner() && c.opt.JointFit {
+			err = c.jointFit(ctx, fits)
+		} else {
+			for i, fm := range fits {
+				if err = fm.solve(ctx); err != nil {
+					break
+				}
+				c.corners[i].warm = fm.Weights
+			}
+		}
+		spSolve.End()
+		if err != nil {
+			return err
+		}
+		spVal := sp.Child("validate")
+		for i, k := range c.corners {
+			c.reanalyze(k, fits[i], dirty)
+		}
+		spVal.End()
+	}
+	if c.multiCorner() {
+		c.mergeWorst(m, fits, a)
+	}
+	if !cache || m.Partial || m.Fault != "" {
+		// A cut-short or faulted fit may rest on state we cannot vouch for;
+		// force the next calibration cold.
+		c.Invalidate()
+		return nil
+	}
+	if !c.oneShot {
+		for i, k := range c.corners {
+			if k.mgba == nil {
+				k.mgba = fits[i].MGBA.Clone()
+				k.mweights = append([]float64(nil), fits[i].Weights...)
+			}
+		}
+	}
+	return nil
+}
+
+// reanalyze runs the corner's cheap analysis under fm's fitted weights.
+// With a cached weighted re-analysis it advances that instead: the only
+// instances whose weighted view changed are the dirty ones and those
+// whose weight moved since the cached evaluation, so Update over their
+// union is bitwise equal to a fresh Run. The caller gets an independent
+// clone; the original stays with the calibrator for the next round.
+func (c *Calibrator) reanalyze(k *corner, fm *Model, dirty []int) {
+	wcfg := k.cfg
+	wcfg.Weights = fm.Weights
+	if k.mgba == nil {
+		fm.MGBA = c.sess.Run(wcfg)
+		return
+	}
+	wdirty := append([]int(nil), dirty...)
+	for i, w := range fm.Weights {
+		if k.mweights[i] != w {
+			wdirty = append(wdirty, i)
+		}
+	}
+	k.mgba.Cfg = wcfg
+	k.mgba.Update(wdirty)
+	copy(k.mweights, fm.Weights)
+	fm.MGBA = k.mgba.Clone()
+}
+
+// abandon drops the cache and returns m as the identity model.
+func (c *Calibrator) abandon(m *Model, why string) *Model {
+	c.Invalidate()
+	return c.finish(m.abandon(why))
+}
+
+// finish records the model's weights as the next solve's warm start —
+// exactly the closure flow's historical behavior of feeding each
+// calibration's weights into the next via Options.WarmWeights.
+func (c *Calibrator) finish(m *Model) *Model {
+	c.corners[0].warm = m.Weights
+	return m
 }

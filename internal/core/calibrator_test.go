@@ -2,8 +2,10 @@ package core_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
+	"mgba/internal/cells"
 	"mgba/internal/core"
 	"mgba/internal/engine"
 	"mgba/internal/gen"
@@ -251,5 +253,84 @@ func TestInvalidateForcesCold(t *testing.T) {
 	}
 	if st := cal.Stats(); st.Cold != 2 || st.Incremental != 0 {
 		t.Fatalf("expected the recalibration to go cold, stats %+v", st)
+	}
+}
+
+// TestRecalibrateMaxPathsDropsCache: when the re-enumerated population
+// crosses MaxPaths, Recalibrate must return the cap error and drop its
+// cache, so the next call runs a clean cold calibration.
+func TestRecalibrateMaxPathsDropsCache(t *testing.T) {
+	d, g, sess := calDesign(t)
+	ctx := context.Background()
+	cfg := sta.DefaultConfig()
+	opt := core.DefaultOptions()
+	base, err := core.CalibrateWithSession(ctx, engine.NewSession(g), cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Upsizing repairs violations; the cap is set to the repaired state's
+	// population, which the original state then exceeds.
+	orig := make([]*cells.Cell, len(d.Instances))
+	for i, inst := range d.Instances {
+		orig[i] = inst.Cell
+	}
+	dirty := upsizeSelected(t, d, g, base, 40)
+	upsized := make([]*cells.Cell, len(d.Instances))
+	for i, inst := range d.Instances {
+		upsized[i] = inst.Cell
+	}
+	resizeAll := func(to []*cells.Cell) {
+		t.Helper()
+		for _, id := range dirty {
+			if err := d.Resize(d.Instances[id], to[id]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	probe, err := core.CalibrateWithSession(ctx, engine.NewSession(g), cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(probe.Selection.Paths) >= len(base.Selection.Paths) {
+		t.Fatalf("upsizes did not shrink the population (%d -> %d paths)",
+			len(base.Selection.Paths), len(probe.Selection.Paths))
+	}
+	opt.MaxPaths = len(probe.Selection.Paths)
+
+	cal, err := core.NewCalibrator(sess, cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m0, err := cal.Calibrate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resizeAll(orig)
+	_, err = cal.Recalibrate(ctx, dirty)
+	if err == nil || !strings.Contains(err.Error(), "MaxPaths") {
+		t.Fatalf("re-enumeration over MaxPaths: got error %v", err)
+	}
+	if st := cal.Stats(); st.Cold != 1 || st.Incremental != 1 {
+		t.Fatalf("over-cap recalibration not taken incrementally: stats %+v", st)
+	}
+
+	// Back under the cap: the dropped cache forces a cold calibration,
+	// which must match a fresh one with the same warm start.
+	resizeAll(upsized)
+	m1, err := cal.Recalibrate(ctx, dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cal.Stats(); st.Cold != 2 || st.Incremental != 1 {
+		t.Fatalf("call after the cap error did not run cold: stats %+v", st)
+	}
+	coldOpt := opt
+	coldOpt.WarmWeights = m0.Weights
+	ref, err := core.CalibrateWithSession(ctx, engine.NewSession(g), cfg, coldOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameFloats(m1.Weights, ref.Weights) || !sameFloats(m1.MGBA.Slack, ref.MGBA.Slack) {
+		t.Fatal("cold calibration after the cap error differs from a fresh cold")
 	}
 }

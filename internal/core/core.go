@@ -19,11 +19,21 @@
 // epsilon tolerance of Eq. (5), enforced through the quadratic penalty of
 // Eq. (6).
 //
+// There is one implementation of that flow, the Calibrator. A cold
+// calibration streams the enumeration in endpoint shards (one shard
+// unless Options.StreamShard is set), retiming and assembling each shard
+// as it arrives. Every step runs once per analysis corner, over a corner
+// list that has one entry unless Options.Corners names more. An
+// incremental Recalibrate re-enumerates and retimes only the endpoints a
+// change can reach, then rebuilds every corner's rows from the cached
+// per-endpoint groups with the same assembler.
+//
 // The pipeline lives in one file per stage: viewpair.go (the pair
-// interfaces and registry), assembly.go (the Eq. (9) system), fit.go
-// (the solve and its degradation ladder), signoff.go (slack evaluation
-// and the paper's accuracy metrics), calibrator.go (the persistent
-// incremental session) and preroute.go (the cross-stage pair).
+// interfaces and registry), calibrator.go (the cold and incremental
+// flows), assembly.go (the Eq. (9) rows), fit.go (the solve and its
+// degradation ladder), mcmm.go (the multi-corner fits), signoff.go (slack
+// evaluation and the paper's accuracy metrics) and preroute.go (the
+// cross-stage pair).
 package core
 
 import (
@@ -34,7 +44,6 @@ import (
 	"mgba/internal/graph"
 	"mgba/internal/obs"
 	"mgba/internal/pathsel"
-	"mgba/internal/pba"
 	"mgba/internal/solver"
 	"mgba/internal/sta"
 )
@@ -69,7 +78,7 @@ func (m Method) String() string {
 // settings (k' = 20, epsilon-guarded constraints, SCG+RS solver).
 type Options struct {
 	K              int     // k': worst paths kept per endpoint (20)
-	MaxPaths       int     // m' cap across all endpoints; <=0 means no cap
+	MaxPaths       int     // m' bound: a larger selected population is an error; <=0 means none
 	CapPerEndpoint int     // safety cap for violated-path enumeration
 	Epsilon        float64 // eps of Eq. (5): relative optimism tolerance
 	Penalty        float64 // w of Eq. (6)
@@ -95,15 +104,15 @@ type Options struct {
 	// incrementally, so the old weights are near-optimal already.
 	WarmWeights []float64
 
-	// StreamShard, when positive, makes cold calibration stream the path
-	// population in endpoint shards of this size instead of materializing
-	// it: each shard is enumerated, retimed and appended to the Eq. (9)
-	// system, then its pointer-form paths become garbage. Peak memory is
-	// one shard plus the (required) assembled system; the fitted weights
-	// are bit-identical to the materialized path. The kept population goes
-	// into Model.Bank (slab form) instead of Model.Selection, and the
-	// incremental cache is not filled. Streaming cannot reproduce the
-	// MaxPaths round-robin truncation, so exceeding MaxPaths is an error.
+	// StreamShard is the endpoint shard size of cold calibration: each
+	// shard is enumerated, retimed and appended to the Eq. (9) systems in
+	// turn. 0 means a single shard, with the paths kept in pointer form
+	// (Model.Selection) and cached for incremental recalibration. A
+	// positive size keeps the population in slab form instead
+	// (Model.Bank), so each shard's pointer-form paths become garbage once
+	// assembled: peak memory is one shard plus the assembled system. Such
+	// a calibrator keeps no incremental cache. The fitted weights are
+	// bit-identical at every shard size.
 	StreamShard int
 
 	// Corners is the multi-corner (MCMM) corner set. Empty or length 1
@@ -131,11 +140,6 @@ type Options struct {
 	// always scaled back regardless, because a fit of unknown quality must
 	// never be allowed to go optimistic.
 	StrictSafety bool
-
-	// NoFallback disables the degradation ladder: a numerically unhealthy
-	// solve returns an error instead of retrying with a safer method.
-	// Exists for experiments that measure a single solver in isolation.
-	NoFallback bool
 }
 
 // DefaultOptions returns the paper's calibration parameters.
@@ -164,12 +168,10 @@ type Model struct {
 
 	GBA       *sta.Result        // baseline cheap analysis
 	Selection *pathsel.Selection // calibration paths (empty when streamed)
-	Timings   []*pba.Timing      // golden retiming per selected path
 
 	// Bank holds the calibration paths in slab form when the model was
 	// fitted through Options.StreamShard; Selection.Paths is empty then.
-	// GoldenSlack is the golden slack per bank path (the streamed
-	// counterpart of Timings[i].Slack).
+	// GoldenSlack is the golden slack per calibration path, in row order.
 	Bank        *pathsel.Bank
 	GoldenSlack []float64
 
@@ -189,10 +191,6 @@ type Model struct {
 	Corners            []*CornerFit
 	WorstSlack         []float64
 	WorstWNS, WorstTNS float64
-
-	// cheap is the view the model's rows were decomposed by; assemble and
-	// the calibrator's row patching dispatch through it.
-	cheap CheapView
 
 	// Robustness record (see DESIGN.md §"Failure model & degradation
 	// ladder").
@@ -305,7 +303,6 @@ func (m *Model) abandon(why string) *Model {
 	obsCalibAbandoned.Inc()
 	obs.Event("calibration_abandoned", "why", why)
 	m.Selection = &pathsel.Selection{}
-	m.Timings = nil
 	m.Bank = nil
 	m.GoldenSlack = nil
 	m.Problem = nil

@@ -59,7 +59,7 @@ func TestCalibrateFig2ExactFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pbaS, err := m.PathSlacks("pba")
+	pbaS, err := m.PathSlacks("golden")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestCalibrateImprovesPassRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gbaM, err := m.Evaluate("gba")
+	gbaM, err := m.Evaluate("cheap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestOptimismBoundedByPenalty(t *testing.T) {
 		t.Fatalf("%.1f%% of paths optimistic beyond tolerance", frac*100)
 	}
 	// GBA must never be optimistic at all: it is the pessimistic baseline.
-	gbaMt, err := m.Evaluate("gba")
+	gbaMt, err := m.Evaluate("cheap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestPathSlacksKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gba, err := m.PathSlacks("gba")
+	gba, err := m.PathSlacks("cheap")
 	if err != nil {
 		t.Fatal(err)
 	}

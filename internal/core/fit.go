@@ -113,9 +113,6 @@ func (m *Model) solve(ctx context.Context) error {
 		if err == nil {
 			att.Rejected = m.healthCheck(x, st, identityF)
 		} else {
-			if m.Opt.NoFallback {
-				return err
-			}
 			att.Rejected = err.Error()
 		}
 		m.Attempts = append(m.Attempts, att)
@@ -137,9 +134,6 @@ func (m *Model) solve(ctx context.Context) error {
 				m.enforceSafety()
 			}
 			return nil
-		}
-		if m.Opt.NoFallback {
-			return fmt.Errorf("core: %v solve rejected: %s", meth, att.Rejected)
 		}
 		if err == nil && st.Reason == solver.StopCancelled {
 			// Cancelled *and* unhealthy: no budget left to retry safer

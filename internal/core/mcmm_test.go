@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"testing"
 
@@ -170,71 +171,84 @@ func requireSameCorners(t *testing.T, got, want *core.Model) {
 	}
 }
 
-// TestMultiCornerRecalibrateMatchesCold is the incremental contract at
-// N=2: after a sizing batch, the incremental Recalibrate (shared per-corner
-// caches, dirty-only golden re-retimes) must be bit-identical to a cold
-// calibration of the same design state with the same warm state. Two
+// TestMultiCornerRecalibrateMatchesCold is the incremental contract for
+// corner sets: over three sizing batches, the incremental Recalibrate
+// (shared per-corner caches, dirty-only golden re-retimes) must be
+// bit-identical to a cold calibration of the same design state with the
+// same warm state, at N=2 and N=4, for independent and joint fits. Two
 // calibrators run side by side from identical colds so their per-corner
 // warm starts agree.
 func TestMultiCornerRecalibrateMatchesCold(t *testing.T) {
-	d, g, sess := calDesign(t)
-	ctx := context.Background()
-	cfg := sta.Config{}
-	opt := core.DefaultOptions()
-	opt.Corners = mcmmSet(2)
+	for _, n := range []int{2, 4} {
+		for _, joint := range []bool{false, true} {
+			t.Run(fmt.Sprintf("N%d/joint=%v", n, joint), func(t *testing.T) {
+				d, g, sess := calDesign(t)
+				ctx := context.Background()
+				cfg := sta.Config{}
+				opt := core.DefaultOptions()
+				opt.Corners = mcmmSet(n)
+				opt.JointFit = joint
 
-	inc, err := core.NewCalibrator(sess, cfg, opt)
-	if err != nil {
-		t.Fatal(err)
+				inc, err := core.NewCalibrator(sess, cfg, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := core.NewCalibrator(engine.NewSession(g), cfg, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := inc.Calibrate(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ref.Calibrate(ctx); err != nil {
+					t.Fatal(err)
+				}
+				for round := 0; round < 3; round++ {
+					dirty := upsizeSelected(t, d, g, m, 30-10*round)
+					mInc, err := inc.Recalibrate(ctx, dirty)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st := inc.Stats(); st.Incremental != round+1 {
+						t.Fatalf("round %d: multi-corner recalibration did not run incrementally: stats %+v", round, st)
+					}
+					ref.Invalidate()
+					mCold, err := ref.Calibrate(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameCorners(t, mInc, mCold)
+					m = mInc
+				}
+			})
+		}
 	}
-	ref, err := core.NewCalibrator(engine.NewSession(g), cfg, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m0, err := inc.Calibrate(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.Calibrate(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	dirty := upsizeSelected(t, d, g, m0, 30)
-
-	mInc, err := inc.Recalibrate(ctx, dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := inc.Stats(); st.Incremental != 1 {
-		t.Fatalf("multi-corner recalibration did not run incrementally: stats %+v", st)
-	}
-	ref.Invalidate()
-	mCold, err := ref.Calibrate(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameCorners(t, mInc, mCold)
 }
 
 // TestMultiCornerStreamedMatchesMaterialized extends the streaming
 // contract to corner sets: a shard-streamed multi-corner cold must produce
-// the same per-corner fits and merged view a materialized one does.
+// the same per-corner fits and merged view a materialized one does, for
+// independent and joint fits.
 func TestMultiCornerStreamedMatchesMaterialized(t *testing.T) {
 	g, cfg := streamEquivDesign(t, 700, 90)
 	ctx := context.Background()
-	opt := core.DefaultOptions()
-	opt.Corners = mcmmSet(2)
-	mat, err := core.Calibrate(ctx, g, cfg, opt)
-	if err != nil {
-		t.Fatal(err)
+	for _, joint := range []bool{false, true} {
+		opt := core.DefaultOptions()
+		opt.Corners = mcmmSet(2)
+		opt.JointFit = joint
+		mat, err := core.Calibrate(ctx, g, cfg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.StreamShard = 8
+		str, err := core.Calibrate(ctx, g, cfg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if str.Bank == nil {
+			t.Fatal("streamed model has no bank")
+		}
+		requireSameCorners(t, str, mat)
 	}
-	opt.StreamShard = 8
-	str, err := core.Calibrate(ctx, g, cfg, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if str.Bank == nil {
-		t.Fatal("streamed model has no bank")
-	}
-	requireSameCorners(t, str, mat)
 }

@@ -141,7 +141,8 @@ func TestRebindRecalibrateMatchesCold(t *testing.T) {
 }
 
 // TestRebindShapeMismatchInvalidates: binding a session over a different
-// design shape must not patch stale rows — the next calibration is cold.
+// design shape must not reuse stale cached paths — the next calibration
+// is cold.
 func TestRebindShapeMismatchInvalidates(t *testing.T) {
 	_, _, sess := calDesign(t)
 	ctx := context.Background()

@@ -59,7 +59,7 @@ func TestLadderFallsToIdentityOnPersistentNaN(t *testing.T) {
 	}
 	// Identity weights mean mGBA must reproduce GBA exactly.
 	mg, _ := m.PathSlacks("mgba")
-	gb, _ := m.PathSlacks("gba")
+	gb, _ := m.PathSlacks("cheap")
 	for i := range mg {
 		if mg[i] != gb[i] {
 			t.Fatalf("path %d: identity mGBA slack %v != GBA %v", i, mg[i], gb[i])
@@ -101,23 +101,6 @@ func TestLadderFallsOneRung(t *testing.T) {
 	}
 	if allOnes(m.Weights) {
 		t.Fatal("fallback rung produced no fit at all")
-	}
-}
-
-// TestNoFallbackSurfacesError: with the ladder disabled, an unhealthy
-// solve must surface as an error instead of degrading.
-func TestNoFallbackSurfacesError(t *testing.T) {
-	g, cfg := smallDesign(t)
-	faultinject.SetSlice(faultinject.SolverGradient, func(v []float64) {
-		for i := range v {
-			v[i] = math.NaN()
-		}
-	})
-	defer faultinject.Reset()
-	opt := core.DefaultOptions()
-	opt.NoFallback = true
-	if _, err := core.Calibrate(context.Background(), g, cfg, opt); err == nil {
-		t.Fatal("NoFallback swallowed an unhealthy solve")
 	}
 }
 
@@ -169,7 +152,7 @@ func TestDivergentStepsStaySafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, _ := m.PathSlacks("pba")
+	pb, _ := m.PathSlacks("golden")
 	for i := range mg {
 		if mg[i] > pb[i]+opt.Epsilon*math.Abs(pb[i])+1e-9 {
 			t.Fatalf("path %d optimistic: mGBA %v vs PBA %v", i, mg[i], pb[i])
@@ -231,7 +214,7 @@ func TestCancelledMidSolveScalesBack(t *testing.T) {
 		// Identity fallback: trivially safe.
 		return
 	}
-	pb, _ := m.PathSlacks("pba")
+	pb, _ := m.PathSlacks("golden")
 	for i := range mg {
 		if mg[i] > pb[i]+m.Opt.Epsilon*math.Abs(pb[i])+1e-9 {
 			t.Fatalf("partial fit optimistic on path %d: mGBA %v vs PBA %v", i, mg[i], pb[i])

@@ -9,65 +9,36 @@ import (
 	"mgba/internal/sta"
 )
 
-// PathSlacks returns, for every selected path, the slack under the given
-// model: "cheap" (unit weights), "mgba" (fitted weights) or "golden"
-// (the pair's golden view). "gba" and "pba" are accepted as aliases for
-// "cheap" and "golden" — the names the API used when GBA<->PBA was the
-// only pair — so existing callers and the calibd wire format keep
-// working.
+// PathSlacks returns, for every calibration path in row order, the slack
+// under the given model: "cheap" (unit weights), "mgba" (fitted weights)
+// or "golden" (the pair's golden view).
 func (m *Model) PathSlacks(kind string) ([]float64, error) {
-	if m.Bank != nil {
-		return m.bankPathSlacks(kind)
-	}
-	out := make([]float64, len(m.Selection.Paths))
+	out := make([]float64, len(m.GoldenSlack))
 	switch kind {
-	case "golden", "pba":
-		for i, tm := range m.Timings {
-			out[i] = tm.Slack
+	case "golden":
+		copy(out, m.GoldenSlack)
+		return out, nil
+	case "cheap", "mgba":
+	default:
+		return nil, fmt.Errorf("core: unknown slack kind %q", kind)
+	}
+	for i := range out {
+		if m.Bank != nil {
+			out[i] = m.Bank.Store.GBASlack(i)
+		} else {
+			out[i] = m.Selection.Paths[i].GBASlack
 		}
-	case "cheap", "gba":
-		for i, p := range m.Selection.Paths {
-			out[i] = p.GBASlack
-		}
-	case "mgba":
+	}
+	if kind == "mgba" {
 		if m.Problem == nil {
 			return nil, fmt.Errorf("core: no fitted problem")
 		}
 		// s_mgba(p) = s_cheap(p) - (A dx)_p: the correction shifts the path
 		// delay, and delay shifts map one-to-one onto slack shifts.
 		ax := m.Problem.A.MulVec(nil, m.clampedCorrection())
-		for i, p := range m.Selection.Paths {
-			out[i] = p.GBASlack - ax[i]
+		for i := range out {
+			out[i] -= ax[i]
 		}
-	default:
-		return nil, fmt.Errorf("core: unknown slack kind %q", kind)
-	}
-	return out, nil
-}
-
-// bankPathSlacks is PathSlacks over a slab-banked (streamed) model; rows
-// are in bank store order, which is the same endpoint-major order the
-// materialized selection would use.
-func (m *Model) bankPathSlacks(kind string) ([]float64, error) {
-	n := m.Bank.Total()
-	out := make([]float64, n)
-	switch kind {
-	case "golden", "pba":
-		copy(out, m.GoldenSlack)
-	case "cheap", "gba":
-		for i := 0; i < n; i++ {
-			out[i] = m.Bank.Store.GBASlack(i)
-		}
-	case "mgba":
-		if m.Problem == nil {
-			return nil, fmt.Errorf("core: no fitted problem")
-		}
-		ax := m.Problem.A.MulVec(nil, m.clampedCorrection())
-		for i := 0; i < n; i++ {
-			out[i] = m.Bank.Store.GBASlack(i) - ax[i]
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown slack kind %q", kind)
 	}
 	return out, nil
 }
@@ -99,8 +70,8 @@ const (
 )
 
 // Evaluate computes the accuracy metrics of a model slack vector against
-// the pair's golden slacks over the selected paths. kind is "cheap"
-// (alias "gba") or "mgba".
+// the pair's golden slacks over the selected paths. kind is "cheap" or
+// "mgba".
 func (m *Model) Evaluate(kind string) (Metrics, error) {
 	model, err := m.PathSlacks(kind)
 	if err != nil {

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"os"
+	"strings"
 	"testing"
 
 	"mgba/internal/core"
@@ -73,10 +74,8 @@ func requireStreamEquiv(t *testing.T, g *graph.Graph, cfg sta.Config, parallelis
 			}
 		}
 	}
-	for i, tm := range cold.Timings {
-		if str.GoldenSlack[i] != tm.Slack {
-			t.Fatalf("golden slack %d: %v vs %v", i, str.GoldenSlack[i], tm.Slack)
-		}
+	if !sameFloats(str.GoldenSlack, cold.GoldenSlack) {
+		t.Fatal("golden slacks differ")
 	}
 	if len(str.Columns) != len(cold.Columns) {
 		t.Fatalf("columns: %d vs %d", len(str.Columns), len(cold.Columns))
@@ -165,42 +164,47 @@ func TestStreamedColdBitIdenticalLarge(t *testing.T) {
 	}
 }
 
-// TestStreamedMaxPathsError pins the documented restriction: streaming
-// cannot reproduce the round-robin MaxPaths truncation, so a population
-// over the cap is a loud error rather than a silently different model.
+// TestStreamedMaxPathsError pins MaxPaths' one meaning: a population
+// over the cap is a loud error rather than a silently truncated model, at
+// every shard size (0 is the single-shard, materialized mode).
 func TestStreamedMaxPathsError(t *testing.T) {
 	g, cfg := streamEquivDesign(t, 700, 90)
-	opt := core.DefaultOptions()
-	opt.MaxPaths = 3
-	opt.StreamShard = 8
-	if _, err := core.Calibrate(context.Background(), g, cfg, opt); err == nil {
-		t.Fatal("expected MaxPaths overflow error from streamed calibration")
+	for _, shard := range []int{0, 8} {
+		opt := core.DefaultOptions()
+		opt.MaxPaths = 3
+		opt.StreamShard = shard
+		if _, err := core.Calibrate(context.Background(), g, cfg, opt); err == nil {
+			t.Fatalf("shard %d: expected MaxPaths overflow error", shard)
+		}
 	}
 }
 
-// TestStreamedMaxPathsBoundary pins the early cap check's edge: a cap
-// exactly at the population streams fine, one below fails — and fails
-// before any shard is retimed, so the error must mention the cap.
+// TestStreamedMaxPathsBoundary pins the cap check's edge at every shard
+// size: a cap exactly at the population calibrates fine, one below fails
+// with an error naming the cap.
 func TestStreamedMaxPathsBoundary(t *testing.T) {
 	g, cfg := streamEquivDesign(t, 700, 90)
 	ctx := context.Background()
-	opt := core.DefaultOptions()
-	opt.StreamShard = 8
-	m, err := core.Calibrate(ctx, g, cfg, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := m.Bank.Total()
-	if total == 0 {
-		t.Fatal("design banked no paths; boundary not exercised")
-	}
-	opt.MaxPaths = total
-	if _, err := core.Calibrate(ctx, g, cfg, opt); err != nil {
-		t.Fatalf("MaxPaths == population must stream: %v", err)
-	}
-	opt.MaxPaths = total - 1
-	if _, err := core.Calibrate(ctx, g, cfg, opt); err == nil {
-		t.Fatal("MaxPaths one below the population did not error")
+	for _, shard := range []int{0, 8} {
+		opt := core.DefaultOptions()
+		opt.StreamShard = shard
+		m, err := core.Calibrate(ctx, g, cfg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := len(m.GoldenSlack)
+		if total == 0 {
+			t.Fatal("design selected no paths; boundary not exercised")
+		}
+		opt.MaxPaths = total
+		if _, err := core.Calibrate(ctx, g, cfg, opt); err != nil {
+			t.Fatalf("shard %d: MaxPaths == population must calibrate: %v", shard, err)
+		}
+		opt.MaxPaths = total - 1
+		_, err = core.Calibrate(ctx, g, cfg, opt)
+		if err == nil || !strings.Contains(err.Error(), "MaxPaths") {
+			t.Fatalf("shard %d: MaxPaths one below the population: got error %v", shard, err)
+		}
 	}
 }
 

@@ -81,7 +81,7 @@ func TestPrerouteCalibrateFitsRoutedGolden(t *testing.T) {
 
 // TestPrerouteRecalibrateMatchesCold is the calibrator contract replayed
 // on the cross-stage pair: after a sizing batch, the incremental path —
-// baseline update, routed-twin cell mirroring, row patching, warm solve —
+// baseline update, routed-twin cell mirroring, row rebuild, warm solve —
 // must land bit-identically on a cold calibration of the same state.
 func TestPrerouteRecalibrateMatchesCold(t *testing.T) {
 	d, g, sess := calDesign(t)
@@ -125,13 +125,13 @@ func TestPrerouteRecalibrateMatchesCold(t *testing.T) {
 	if !sameFloats(mInc.Weights, mCold.Weights) {
 		t.Error("incremental weights differ from cold calibration on the preroute pair")
 	}
-	if len(mInc.Timings) != len(mCold.Timings) {
-		t.Fatalf("timing counts differ: %d vs %d", len(mInc.Timings), len(mCold.Timings))
+	if len(mInc.GoldenSlack) != len(mCold.GoldenSlack) {
+		t.Fatalf("golden slack counts differ: %d vs %d", len(mInc.GoldenSlack), len(mCold.GoldenSlack))
 	}
-	for i := range mInc.Timings {
-		if mInc.Timings[i].Slack != mCold.Timings[i].Slack {
+	for i := range mInc.GoldenSlack {
+		if mInc.GoldenSlack[i] != mCold.GoldenSlack[i] {
 			t.Fatalf("routed golden slack %d differs: %v vs %v",
-				i, mInc.Timings[i].Slack, mCold.Timings[i].Slack)
+				i, mInc.GoldenSlack[i], mCold.GoldenSlack[i])
 		}
 	}
 	if !sameFloats(mInc.Problem.B, mCold.Problem.B) {
@@ -166,23 +166,30 @@ func TestPrerouteTargetsDifferFromDefault(t *testing.T) {
 	}
 }
 
+// TestPathSlackKindAliases pins the removal of the legacy slack-kind
+// aliases: "gba" and "pba" are rejected by PathSlacks, Evaluate and
+// CornerFit.Evaluate alike; the kinds are "cheap", "golden" and "mgba".
 func TestPathSlackKindAliases(t *testing.T) {
 	_, _, sess := calDesign(t)
 	m, err := core.CalibrateWithSession(context.Background(), sess, sta.DefaultConfig(), core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pair := range [][2]string{{"golden", "pba"}, {"cheap", "gba"}} {
-		a, err := m.PathSlacks(pair[0])
-		if err != nil {
-			t.Fatal(err)
+	for _, kind := range []string{"cheap", "golden", "mgba"} {
+		if _, err := m.PathSlacks(kind); err != nil {
+			t.Errorf("PathSlacks(%q): %v", kind, err)
 		}
-		b, err := m.PathSlacks(pair[1])
-		if err != nil {
-			t.Fatal(err)
+	}
+	var cf core.CornerFit
+	for _, alias := range []string{"gba", "pba"} {
+		if _, err := m.PathSlacks(alias); err == nil {
+			t.Errorf("PathSlacks accepted the legacy alias %q", alias)
 		}
-		if !sameFloats(a, b) {
-			t.Errorf("PathSlacks(%q) != PathSlacks(%q)", pair[0], pair[1])
+		if _, err := m.Evaluate(alias); err == nil {
+			t.Errorf("Evaluate accepted the legacy alias %q", alias)
+		}
+		if _, err := cf.Evaluate(alias, 0.02); err == nil {
+			t.Errorf("CornerFit.Evaluate accepted the legacy alias %q", alias)
 		}
 	}
 }

@@ -27,15 +27,13 @@ type CalibBench struct {
 	Endpoints  int    `json:"endpoints"`
 	Transforms int    `json:"transforms"` // accepted upsizes between calibrations
 
-	ColdNsOp      int64 `json:"cold_ns_per_op"`
-	ColdAllocsOp  int64 `json:"cold_allocs_per_op"`
-	WarmNsOp      int64 `json:"cold_warm_ns_per_op"`
-	WarmAllocsOp  int64 `json:"cold_warm_allocs_per_op"`
-	IncrNsOp      int64 `json:"incremental_ns_per_op"`
-	IncrAllocsOp  int64 `json:"incremental_allocs_per_op"`
-	Reenumerated  int   `json:"endpoints_reenumerated"`
-	RowsPatched   int   `json:"rows_patched_per_op"`
-	MatrixRebuilt int   `json:"matrix_rebuilds"`
+	ColdNsOp     int64 `json:"cold_ns_per_op"`
+	ColdAllocsOp int64 `json:"cold_allocs_per_op"`
+	WarmNsOp     int64 `json:"cold_warm_ns_per_op"`
+	WarmAllocsOp int64 `json:"cold_warm_allocs_per_op"`
+	IncrNsOp     int64 `json:"incremental_ns_per_op"`
+	IncrAllocsOp int64 `json:"incremental_allocs_per_op"`
+	Reenumerated int   `json:"endpoints_reenumerated"`
 
 	Speedup     float64 `json:"speedup"`      // cold / incremental
 	SpeedupWarm float64 `json:"speedup_warm"` // warm-started cold / incremental
@@ -223,19 +221,17 @@ func BenchCalibration(e *Env) (*report.Table, *CalibBench, error) {
 	}
 
 	res := &CalibBench{
-		Design:        "D3",
-		Gates:         len(sc.d.Instances),
-		Endpoints:     sc.eps,
-		Transforms:    transforms,
-		ColdNsOp:      cold.NsPerOp(),
-		ColdAllocsOp:  cold.AllocsPerOp(),
-		WarmNsOp:      warm.NsPerOp(),
-		WarmAllocsOp:  warm.AllocsPerOp(),
-		IncrNsOp:      incr.NsPerOp(),
-		IncrAllocsOp:  incr.AllocsPerOp(),
-		Reenumerated:  st.EndpointsReenumerated / st.Incremental,
-		RowsPatched:   st.RowsPatched / st.Incremental,
-		MatrixRebuilt: st.MatrixRebuilds,
+		Design:       "D3",
+		Gates:        len(sc.d.Instances),
+		Endpoints:    sc.eps,
+		Transforms:   transforms,
+		ColdNsOp:     cold.NsPerOp(),
+		ColdAllocsOp: cold.AllocsPerOp(),
+		WarmNsOp:     warm.NsPerOp(),
+		WarmAllocsOp: warm.AllocsPerOp(),
+		IncrNsOp:     incr.NsPerOp(),
+		IncrAllocsOp: incr.AllocsPerOp(),
+		Reenumerated: st.EndpointsReenumerated / st.Incremental,
 	}
 	if res.IncrNsOp > 0 {
 		res.Speedup = float64(res.ColdNsOp) / float64(res.IncrNsOp)

@@ -244,7 +244,7 @@ func Fig4(e *Env) (*report.Table, error) {
 	if m.Problem == nil {
 		return nil, fmt.Errorf("expt: toy produced no problem")
 	}
-	golden, err := m.PathSlacks("pba")
+	golden, err := m.PathSlacks("golden")
 	if err != nil {
 		return nil, err
 	}
@@ -463,7 +463,7 @@ func Table3(e *Env) (*report.Table, []PassRow, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		gbaM, err := m.Evaluate("gba")
+		gbaM, err := m.Evaluate("cheap")
 		if err != nil {
 			return nil, nil, err
 		}

@@ -41,11 +41,11 @@ const (
 	// can count enumerations or trigger a context cancellation in the
 	// middle of an incremental recalibration.
 	PathEnum
-	// SparseRowPatch fires with the normalized values of a CSR row about
-	// to be patched in place (sparse SetRow/InsertRow); a slice hook may
-	// corrupt the row (e.g. NaN) before it is stored, simulating a bad
+	// RecalibrateRow fires with the values of every Eq. (9) row an
+	// incremental recalibration rebuilds from its cache, before the row is
+	// stored; a slice hook may corrupt it (e.g. NaN), simulating a bad
 	// incremental assembly.
-	SparseRowPatch
+	RecalibrateRow
 	// NetioSyncDir fires before netio's atomic writer fsyncs the parent
 	// directory after the rename; an error hook simulates a directory
 	// sync failing in the rename-then-crash window.

@@ -5,24 +5,17 @@
 //
 // The solvers need exactly four operations — y = A x, g = A^T r, per-row
 // Euclidean norms (Eq. 11 sampling probabilities), and row subsetting
-// (Algorithm 1's uniform sampling) — so that is most of the API. On top of
-// that, incremental recalibration patches a built matrix in place: SetRow,
-// InsertRow and RemoveRow splice individual rows (and GrowCols widens the
-// column space) so a mostly-unchanged system is updated without a rebuild.
+// (Algorithm 1's uniform sampling) — so that is most of the API.
 package sparse
 
 import (
 	"fmt"
 	"sync"
 
-	"mgba/internal/faultinject"
 	"mgba/internal/par"
 )
 
-// Matrix is a CSR matrix. It is immutable under the solver-facing
-// operations; the row-patching methods (SetRow, InsertRow, RemoveRow,
-// GrowCols) mutate it in place and invalidate slices previously returned
-// by Row.
+// Matrix is a CSR matrix. Its entries never change once built.
 type Matrix struct {
 	rows, cols int
 	rowPtr     []int     // len rows+1
@@ -33,8 +26,8 @@ type Matrix struct {
 
 // rowScratch is the pooled working set of normalizeRowInto: one row's
 // index/value pairs, sorted and deduplicated in place so builder-heavy
-// paths (cold calibration, SelectRows-driven subsampling, incremental row
-// patching) add rows without a per-row allocation.
+// paths (calibration assembly, SelectRows-driven subsampling) add rows
+// without a per-row allocation.
 type rowScratch struct {
 	idx []int
 	val []float64
@@ -69,9 +62,7 @@ func sortPairs(idx []int, val []float64) {
 // normalizeRowInto validates one row's parallel index/value slices
 // against the column count and leaves the row in canonical CSR form in sc:
 // column-sorted with duplicate columns summed (a gate appearing twice on
-// a reconvergent path contributes twice). Builder.AddRow and the patching
-// methods share it, so a patched row is bit-identical to the same row
-// built from scratch.
+// a reconvergent path contributes twice).
 func normalizeRowInto(sc *rowScratch, cols int, indices []int, values []float64) error {
 	if len(indices) != len(values) {
 		return fmt.Errorf("sparse: %d indices for %d values", len(indices), len(values))
@@ -118,7 +109,7 @@ func NewBuilder(cols int) *Builder {
 // EnsureCols widens the builder's column space to at least cols; existing
 // rows are untouched. Streaming assembly discovers columns shard by shard,
 // so the final count is not known when the builder is created. Shrinking
-// is a silent no-op, mirroring Matrix.GrowCols' grow-only contract.
+// is a silent no-op.
 func (b *Builder) EnsureCols(cols int) {
 	if cols > b.cols {
 		b.cols = cols
@@ -465,97 +456,6 @@ func (m *Matrix) SelectRows(rows []int) *Matrix {
 		vv = append(vv, m.val[m.rowPtr[i]:m.rowPtr[i+1]]...)
 	}
 	return &Matrix{rows: len(rows), cols: m.cols, rowPtr: rp, colIdx: ci, val: vv, par: m.par}
-}
-
-// GrowCols widens the column space to cols. Existing entries keep their
-// columns; new columns start empty. It returns an error when cols would
-// shrink the matrix.
-func (m *Matrix) GrowCols(cols int) error {
-	if cols < m.cols {
-		return fmt.Errorf("sparse: GrowCols from %d to %d would shrink", m.cols, cols)
-	}
-	m.cols = cols
-	return nil
-}
-
-// SetRow replaces row i in place. The new row may have a different entry
-// count: storage after the row is spliced and later row offsets shift.
-// Indices follow AddRow's contract (unordered, duplicates summed). Slices
-// previously returned by Row become stale after a successful SetRow.
-func (m *Matrix) SetRow(i int, indices []int, values []float64) error {
-	if i < 0 || i >= m.rows {
-		return fmt.Errorf("sparse: SetRow index %d out of range [0,%d)", i, m.rows)
-	}
-	sc := rowPool.Get().(*rowScratch)
-	defer rowPool.Put(sc)
-	if err := normalizeRowInto(sc, m.cols, indices, values); err != nil {
-		return err
-	}
-	ci, vv := sc.idx, sc.val
-	faultinject.Slice(faultinject.SparseRowPatch, vv)
-	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	d := len(vv) - (hi - lo)
-	if d > 0 {
-		n := len(m.val)
-		m.colIdx = append(m.colIdx, make([]int, d)...)
-		m.val = append(m.val, make([]float64, d)...)
-		copy(m.colIdx[hi+d:], m.colIdx[hi:n])
-		copy(m.val[hi+d:], m.val[hi:n])
-	} else if d < 0 {
-		n := len(m.val)
-		copy(m.colIdx[hi+d:], m.colIdx[hi:])
-		copy(m.val[hi+d:], m.val[hi:])
-		m.colIdx = m.colIdx[:n+d]
-		m.val = m.val[:n+d]
-	}
-	copy(m.colIdx[lo:lo+len(ci)], ci)
-	copy(m.val[lo:lo+len(vv)], vv)
-	if d != 0 {
-		for r := i + 1; r < len(m.rowPtr); r++ {
-			m.rowPtr[r] += d
-		}
-	}
-	return nil
-}
-
-// InsertRow inserts a new row before position i (i == Rows appends). The
-// entries follow AddRow's contract.
-func (m *Matrix) InsertRow(i int, indices []int, values []float64) error {
-	if i < 0 || i > m.rows {
-		return fmt.Errorf("sparse: InsertRow index %d out of range [0,%d]", i, m.rows)
-	}
-	p := m.rowPtr[i]
-	m.rowPtr = append(m.rowPtr, 0)
-	copy(m.rowPtr[i+1:], m.rowPtr[i:])
-	m.rowPtr[i] = p // new empty row: rowPtr[i] == rowPtr[i+1]
-	m.rows++
-	if err := m.SetRow(i, indices, values); err != nil {
-		// Roll the empty row back out so a validation failure is clean.
-		copy(m.rowPtr[i:], m.rowPtr[i+1:])
-		m.rowPtr = m.rowPtr[:len(m.rowPtr)-1]
-		m.rows--
-		return err
-	}
-	return nil
-}
-
-// RemoveRow deletes row i in place; later rows shift up.
-func (m *Matrix) RemoveRow(i int) error {
-	if i < 0 || i >= m.rows {
-		return fmt.Errorf("sparse: RemoveRow index %d out of range [0,%d)", i, m.rows)
-	}
-	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	d := hi - lo
-	copy(m.colIdx[lo:], m.colIdx[hi:])
-	copy(m.val[lo:], m.val[hi:])
-	m.colIdx = m.colIdx[:len(m.colIdx)-d]
-	m.val = m.val[:len(m.val)-d]
-	for r := i + 1; r < len(m.rowPtr)-1; r++ {
-		m.rowPtr[r] = m.rowPtr[r+1] - d
-	}
-	m.rowPtr = m.rowPtr[:len(m.rowPtr)-1]
-	m.rows--
-	return nil
 }
 
 // Dense expands the matrix to row-major dense form; intended for tests and
