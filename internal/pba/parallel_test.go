@@ -2,6 +2,7 @@ package pba_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -39,7 +40,8 @@ func samePaths(t *testing.T, a, b [][]*pba.Path, label string) {
 		for j := range a[i] {
 			p, q := a[i][j], b[i][j]
 			if p.Launch != q.Launch || p.Capture != q.Capture ||
-				p.GBAArrival != q.GBAArrival || p.GBASlack != q.GBASlack {
+				math.Float64bits(p.GBAArrival) != math.Float64bits(q.GBAArrival) ||
+				math.Float64bits(p.GBASlack) != math.Float64bits(q.GBASlack) {
 				t.Fatalf("%s: endpoint %d path %d differs: %+v vs %+v", label, i, j, p, q)
 			}
 			if len(p.Cells) != len(q.Cells) {

@@ -5,13 +5,15 @@
 //
 // Because enumerating every path of a real design is intractable, the
 // package provides a per-endpoint k-worst-path enumerator over the GBA
-// timing graph: paths pop in exactly descending GBA-arrival order, so the
-// k worst GBA-slack paths of an endpoint come out first. The critical-path
-// selection schemes of §3.2 are built on top of this in internal/pathsel.
+// timing graph. It is a best-first search keyed on accumulated sidetrack
+// (Eppstein's k-shortest-paths formulation): paths come out in descending
+// GBA-arrival order up to float64 rounding, with equal-key paths taken
+// depth-first, so the k worst GBA-slack paths of an endpoint come out
+// first. The critical-path selection schemes of §3.2 are built on top of
+// this in internal/pathsel.
 package pba
 
 import (
-	"container/heap"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -146,84 +148,140 @@ func (a *Analyzer) Retime(p *Path) *Timing {
 
 // searchState is a partial path suffix during backward best-first search:
 // everything from inst's output pin to the endpoint's D pin is fixed and
-// costs tail picoseconds under GBA.
+// costs tail picoseconds under GBA. parent is the index of the state
+// towards the endpoint in the search's state list, -1 next to the
+// endpoint.
 type searchState struct {
 	inst   int
+	parent int
 	tail   float64
-	parent *searchState // towards the endpoint
-	bound  float64      // ArrivalOut[inst] + tail: exact max completion
 }
 
-type stateHeap []*searchState
-
-func (h stateHeap) Len() int           { return len(h) }
-func (h stateHeap) Less(i, j int) bool { return h[i].bound > h[j].bound }
-func (h stateHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *stateHeap) Push(x any)        { *h = append(*h, x.(*searchState)) }
-func (h *stateHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// heapItem is the search key of the state at index id of the state list.
+// gap is the state's accumulated sidetrack: the sum, over the edges u->v
+// its suffix takes, of maxAt(v) - (ArrivalOut[u] + WireDelay[u]), i.e. how
+// far u's arrival at v falls short of v's worst input arrival. In exact
+// arithmetic a finished path's GBA arrival is the endpoint's D-pin arrival
+// minus its gap, so ascending gap is descending arrival. Unlike the
+// arrival bound ArrivalOut[u] + tail, which float64 rounding lets drift
+// above its parent's along a critical chain, the gap adds exactly 0.0 on
+// every argmax edge and never decreases from parent to child.
+type heapItem struct {
+	gap float64
+	id  int
 }
 
-// stateArena bump-allocates searchStates in fixed-size blocks. Blocks are
-// never reallocated, so parent pointers between states stay valid for the
-// whole enumeration; reset rewinds the arena without freeing the blocks.
-type stateArena struct {
-	blocks [][]searchState
-	block  int // index of the block currently being filled
-	used   int // entries handed out from that block
-}
-
-const arenaBlockSize = 1024
-
-func (a *stateArena) alloc() *searchState {
-	if a.block == len(a.blocks) {
-		a.blocks = append(a.blocks, make([]searchState, arenaBlockSize))
+// before is the heap order: smaller gap first and, among equal gaps, the
+// later push (states are listed in push order) first, so equal-gap chains
+// are followed depth-first. ids are unique, so the order is total and the
+// search deterministic.
+func (x heapItem) before(y heapItem) bool {
+	if x.gap != y.gap {
+		return x.gap < y.gap
 	}
-	s := &a.blocks[a.block][a.used]
-	a.used++
-	if a.used == arenaBlockSize {
-		a.block++
-		a.used = 0
+	return x.id > y.id
+}
+
+// stateHeap is a binary min-heap of heapItems under before.
+type stateHeap []heapItem
+
+func (h *stateHeap) push(it heapItem) {
+	q := append(*h, it)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !it.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return s
+	q[i] = it
+	*h = q
 }
 
-func (a *stateArena) reset() {
-	a.block = 0
-	a.used = 0
+func (h *stateHeap) pop() heapItem {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
-// enumScratch is the per-enumeration working set — the best-first heap and
-// the state arena — pooled so repeated KWorst calls (one per endpoint per
-// recalibration) run allocation-free in steady state.
+// enumScratch is the per-enumeration working set — the best-first heap
+// and the list of every state pushed — pooled so repeated KWorst calls
+// (one per endpoint per recalibration) run allocation-free in steady state.
 type enumScratch struct {
-	heap  stateHeap
-	arena stateArena
+	heap   stateHeap
+	states []searchState
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(enumScratch) }}
 
 func getScratch() *enumScratch { return scratchPool.Get().(*enumScratch) }
 
-func putScratch(sc *enumScratch) {
-	sc.heap = sc.heap[:0]
-	sc.arena.reset()
-	scratchPool.Put(sc)
+func putScratch(sc *enumScratch) { scratchPool.Put(sc) }
+
+// pushFanins pushes one state per fanin u of v: the suffix from u's output
+// pin through v, extending the state at index parent, or from u's output
+// pin alone when v is the capture FF and parent is -1. v's worst input
+// arrival is recomputed with the engine's own expression, so the argmax
+// fanin's sidetrack is exactly 0.0.
+func (sc *enumScratch) pushFanins(r *sta.Result, v, parent int, gap float64) {
+	fanin := r.G.Fanin(v)
+	maxAt := math.Inf(-1)
+	for _, e := range fanin {
+		if at := r.ArrivalOut[e.From] + r.WireDelay[e.From]; at > maxAt {
+			maxAt = at
+		}
+	}
+	var through float64 // tail up to v's input pins
+	if parent >= 0 {
+		p := sc.states[parent]
+		through = p.tail + r.CellDelay[p.inst]
+	}
+	for _, e := range fanin {
+		u := int(e.From)
+		tail := r.WireDelay[u]
+		if parent >= 0 {
+			tail = through + r.WireDelay[u]
+		}
+		sc.heap.push(heapItem{gap: gap + (maxAt - (r.ArrivalOut[u] + r.WireDelay[u])), id: len(sc.states)})
+		sc.states = append(sc.states, searchState{inst: u, parent: parent, tail: tail})
+	}
 }
 
 // KWorst enumerates up to k paths ending at endpoint captureIdx (a D.FFs
-// position) in descending GBA-arrival order — i.e. worst GBA slack first.
-// When stopAtSlack is non-nil, enumeration also stops as soon as the next
-// path's GBA slack reaches *stopAtSlack (use 0 to collect exactly the
-// violated paths).
+// position), worst GBA slack first. When stopAtSlack is non-nil,
+// enumeration also stops as soon as the next path's GBA slack reaches
+// *stopAtSlack (use 0 to collect exactly the violated paths).
 //
-// The bound function ArrivalOut[v] + tail is exact for GBA delays, so every
-// heap pop whose head is a flip-flop completes a genuine next-worst path;
-// the enumeration order is exact, not heuristic.
+// The search is best-first on the accumulated sidetrack (see heapItem), so
+// paths come out in ascending sidetrack order: descending GBA arrival up to
+// float64 rounding, with equal-key paths taken depth-first. The order is
+// deterministic, whatever the Parallelism of a KWorstAll fan-out. A path's
+// GBAArrival is ArrivalOut[launch] plus its tail, summed from the endpoint
+// back.
 func (a *Analyzer) KWorst(captureIdx, k int, stopAtSlack *float64) []*Path {
 	sc := getScratch()
 	out := a.kWorst(sc, captureIdx, k, stopAtSlack)
@@ -231,62 +289,46 @@ func (a *Analyzer) KWorst(captureIdx, k int, stopAtSlack *float64) []*Path {
 	return out
 }
 
+// kWorst runs one endpoint search on sc, leaving the states it pushed in
+// sc.states until the next search.
 func (a *Analyzer) kWorst(sc *enumScratch, captureIdx, k int, stopAtSlack *float64) []*Path {
 	_ = faultinject.Float64(faultinject.PathEnum, float64(captureIdx))
 	r := a.R
 	d := r.G.D
 	ffID := d.FFs[captureIdx]
 	budget := a.Budget(captureIdx)
-
-	h := &sc.heap
-	for _, e := range r.G.Fanin(ffID) {
-		s := sc.arena.alloc()
-		*s = searchState{
-			inst: int(e.From),
-			tail: r.WireDelay[e.From],
-		}
-		s.bound = r.ArrivalOut[e.From] + s.tail
-		heap.Push(h, s)
-	}
 	gbaCredit := r.GBACRPR[captureIdx]
+
+	sc.heap, sc.states = sc.heap[:0], sc.states[:0]
+	sc.pushFanins(r, ffID, -1, 0)
 	var out []*Path
-	for h.Len() > 0 && len(out) < k {
-		s := heap.Pop(h).(*searchState)
-		in := d.Instances[s.inst]
-		if in.IsFF() {
-			arrival := s.bound // ArrivalOut[FF] + tail is the exact arrival
-			slack := budget + gbaCredit - arrival
-			if stopAtSlack != nil && slack >= *stopAtSlack {
-				break // everything still enqueued is at least this good
-			}
-			cells := []int{s.inst}
-			for st := s.parent; st != nil; st = st.parent {
-				cells = append(cells, st.inst)
-			}
-			out = append(out, &Path{
-				Launch:     s.inst,
-				Capture:    ffID,
-				Cells:      cells,
-				GBAArrival: arrival,
-				GBASlack:   slack,
-			})
+	for len(sc.heap) > 0 && len(out) < k {
+		it := sc.heap.pop()
+		s := sc.states[it.id]
+		if !d.Instances[s.inst].IsFF() {
+			sc.pushFanins(r, s.inst, it.id, it.gap)
 			continue
 		}
-		for _, e := range r.G.Fanin(s.inst) {
-			ns := sc.arena.alloc()
-			*ns = searchState{
-				inst:   int(e.From),
-				tail:   s.tail + r.CellDelay[s.inst] + r.WireDelay[e.From],
-				parent: s,
-			}
-			ns.bound = r.ArrivalOut[e.From] + ns.tail
-			heap.Push(h, ns)
+		arrival := r.ArrivalOut[s.inst] + s.tail
+		slack := budget + gbaCredit - arrival
+		if stopAtSlack != nil && slack >= *stopAtSlack {
+			break // everything still enqueued is at least this good, up to rounding
 		}
+		cells := []int{s.inst}
+		for p := s.parent; p >= 0; p = sc.states[p].parent {
+			cells = append(cells, sc.states[p].inst)
+		}
+		out = append(out, &Path{
+			Launch:     s.inst,
+			Capture:    ffID,
+			Cells:      cells,
+			GBAArrival: arrival,
+			GBASlack:   slack,
+		})
 	}
-	sc.heap = sc.heap[:0]
-	sc.arena.reset()
 	obsEndpointsSwept.Inc()
 	obsPathsEnumerated.Add(int64(len(out)))
+	obsSearchStates.Add(int64(len(sc.states)))
 	return out
 }
 

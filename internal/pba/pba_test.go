@@ -1,12 +1,16 @@
 package pba_test
 
 import (
+	"container/heap"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"mgba/internal/fixtures"
 	"mgba/internal/gen"
 	"mgba/internal/graph"
+	"mgba/internal/netlist"
 	"mgba/internal/pba"
 	"mgba/internal/sta"
 )
@@ -289,5 +293,197 @@ func TestBudgetMatchesSlackDefinition(t *testing.T) {
 	p := a.WorstPath(fi4)
 	if math.Abs((a.Budget(fi4)+r.GBACRPR[fi4]-p.GBAArrival)-r.Slack[fi4]) > 1e-9 {
 		t.Fatal("budget + credit - arrival != endpoint slack")
+	}
+}
+
+// seedState, seedHeap and seedKWorst are the bound-keyed search the
+// enumerator used before its sidetrack key, kept as the reference the
+// shipped search must reproduce: best-first on ArrivalOut[inst] + tail
+// through container/heap with no tie order. Along a critical chain that
+// bound drifts by float64 rounding, so the search sweeps breadth-first
+// through equal-arrival prefixes; the output is what the shipped search
+// must match, the cost is what it must not.
+type seedState struct {
+	inst   int
+	tail   float64
+	parent *seedState // towards the endpoint
+	bound  float64    // ArrivalOut[inst] + tail
+}
+
+type seedHeap []*seedState
+
+func (h seedHeap) Len() int           { return len(h) }
+func (h seedHeap) Less(i, j int) bool { return h[i].bound > h[j].bound }
+func (h seedHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *seedHeap) Push(x any)        { *h = append(*h, x.(*seedState)) }
+func (h *seedHeap) Pop() any {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	*h = old[:n-1]
+	return x
+}
+
+func seedKWorst(a *pba.Analyzer, captureIdx, k int, stopAtSlack *float64) []*pba.Path {
+	r := a.R
+	d := r.G.D
+	ffID := d.FFs[captureIdx]
+	budget := a.Budget(captureIdx)
+
+	h := &seedHeap{}
+	for _, e := range r.G.Fanin(ffID) {
+		s := &seedState{
+			inst: int(e.From),
+			tail: r.WireDelay[e.From],
+		}
+		s.bound = r.ArrivalOut[e.From] + s.tail
+		heap.Push(h, s)
+	}
+	gbaCredit := r.GBACRPR[captureIdx]
+	var out []*pba.Path
+	for h.Len() > 0 && len(out) < k {
+		s := heap.Pop(h).(*seedState)
+		in := d.Instances[s.inst]
+		if in.IsFF() {
+			arrival := s.bound
+			slack := budget + gbaCredit - arrival
+			if stopAtSlack != nil && slack >= *stopAtSlack {
+				break
+			}
+			cells := []int{s.inst}
+			for st := s.parent; st != nil; st = st.parent {
+				cells = append(cells, st.inst)
+			}
+			out = append(out, &pba.Path{
+				Launch:     s.inst,
+				Capture:    ffID,
+				Cells:      cells,
+				GBAArrival: arrival,
+				GBASlack:   slack,
+			})
+			continue
+		}
+		for _, e := range r.G.Fanin(s.inst) {
+			ns := &seedState{
+				inst:   int(e.From),
+				tail:   s.tail + r.CellDelay[s.inst] + r.WireDelay[e.From],
+				parent: s,
+			}
+			ns.bound = r.ArrivalOut[e.From] + ns.tail
+			heap.Push(h, ns)
+		}
+	}
+	return out
+}
+
+func analyzeDesign(t testing.TB, d *netlist.Design) *pba.Analyzer {
+	t.Helper()
+	g, err := graph.Build(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pba.NewAnalyzer(sta.Analyze(g, sta.DefaultConfig()))
+}
+
+func generatedAnalyzer(t testing.TB, cfg gen.Config) *pba.Analyzer {
+	t.Helper()
+	d, err := gen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return analyzeDesign(t, d)
+}
+
+var large30k struct {
+	once sync.Once
+	a    *pba.Analyzer
+}
+
+// large30kAnalyzer returns the GBA analysis of gen.Large(30000), built once
+// per test binary: the design on which the bound-keyed search blew up.
+func large30kAnalyzer(t testing.TB) *pba.Analyzer {
+	t.Helper()
+	large30k.once.Do(func() { large30k.a = generatedAnalyzer(t, gen.Large(30000)) })
+	if large30k.a == nil {
+		t.Fatal("gen.Large(30000) analysis failed in an earlier test")
+	}
+	return large30k.a
+}
+
+// TestKWorstMatchesSeedSearch: the sidetrack-keyed search returns, endpoint
+// by endpoint, exactly what the bound-keyed seed search returns at every
+// call-site shape — k 1 with no stop (WorstPath), 10 with no stop (closure
+// sign-off and validation), 20 stopping at slack 0 (calibration) and 200
+// stopping at 0 — on the suite, the toy, both closure fixtures and, at the
+// calibration shape, gen.Large(30000).
+func TestKWorstMatchesSeedSearch(t *testing.T) {
+	zero := 0.0
+	type shape struct {
+		k    int
+		stop *float64
+	}
+	shapes := []shape{{1, nil}, {10, nil}, {20, &zero}, {200, &zero}}
+	check := func(t *testing.T, a *pba.Analyzer, shapes []shape) {
+		eps := a.EndpointIndices()
+		checked := 0
+		for _, sh := range shapes {
+			got := make([][]*pba.Path, len(eps))
+			want := make([][]*pba.Path, len(eps))
+			for i, fi := range eps {
+				got[i] = a.KWorst(fi, sh.k, sh.stop)
+				want[i] = seedKWorst(a, fi, sh.k, sh.stop)
+				checked += len(got[i])
+			}
+			samePaths(t, want, got, fmt.Sprintf("k %d stop %v", sh.k, sh.stop != nil))
+		}
+		if checked == 0 {
+			t.Fatal("no paths compared")
+		}
+	}
+
+	for _, cfg := range append(gen.Suite(), gen.Toy()) {
+		t.Run(cfg.Name, func(t *testing.T) { check(t, generatedAnalyzer(t, cfg), shapes) })
+	}
+	fixtureCases := []struct {
+		name  string
+		build func() (*netlist.Design, error)
+	}{
+		{"bufcase", fixtures.BufferCase},
+		{"retimetoy", func() (*netlist.Design, error) { return fixtures.RetimePipeline(4) }},
+	}
+	for _, fc := range fixtureCases {
+		t.Run(fc.name, func(t *testing.T) {
+			d, err := fc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, analyzeDesign(t, d), shapes)
+		})
+	}
+	t.Run("large-30k", func(t *testing.T) {
+		check(t, large30kAnalyzer(t), []shape{{20, &zero}})
+	})
+}
+
+// TestKWorstSearchStaysLinear pins the mechanism behind the sidetrack key.
+// On gen.Large(30000) the bound-keyed search pushed 1,211,413 states for a
+// single endpoint (3,182,096 over the design) to emit at most 20 paths per
+// endpoint, sweeping equal-arrival prefixes whose bounds drifted apart by
+// rounding; the sidetrack-keyed search needs a few hundred per endpoint.
+// No endpoint may push more than 5,000.
+func TestKWorstSearchStaysLinear(t *testing.T) {
+	a := large30kAnalyzer(t)
+	zero := 0.0
+	worst, worstFI, total := 0, -1, 0
+	for _, fi := range a.EndpointIndices() {
+		n := a.SearchPushes(fi, 20, &zero)
+		total += n
+		if n > worst {
+			worst, worstFI = n, fi
+		}
+	}
+	t.Logf("max %d states pushed (endpoint %d), %d in total", worst, worstFI, total)
+	if worst > 5000 {
+		t.Fatalf("endpoint %d pushed %d states for k=20; want at most 5000", worstFI, worst)
 	}
 }
