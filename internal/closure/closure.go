@@ -7,8 +7,10 @@
 // The default registry reproduces the historical hard-coded loop exactly
 // — gate upsizing first, buffer insertion second, greedy
 // worst-endpoint-first scheduling — and Options.Transforms extends it
-// with register retiming, the structural move whose dirty sets drive the
-// calibrator's incremental recalibration across a session rebind.
+// with register retiming. Both structural moves (buffer insertion and
+// retiming) are timed on a throwaway session; an accepted one's dirty
+// set drives the calibrator's incremental recalibration across a session
+// rebind.
 //
 // The framework is timer-agnostic: it runs against original GBA or
 // against mGBA (GBA with calibrated per-gate weighting factors,

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"mgba/internal/closure"
+	"mgba/internal/core"
 	"mgba/internal/gen"
 	"mgba/internal/graph"
+	"mgba/internal/obs"
 	"mgba/internal/sta"
 )
 
@@ -280,5 +282,63 @@ func TestIncrementalCalibrationEquivalence(t *testing.T) {
 		if inc.Weights[i] != cold.Weights[i] {
 			t.Fatalf("weights diverge at %d: %v vs %v", i, inc.Weights[i], cold.Weights[i])
 		}
+	}
+}
+
+// TestPrerouteClosureStaysIncremental extends the incremental contract to
+// the cross-stage pair on D3: the dirty-set flow must land on the
+// ColdRecalibrate ablation's design, weights and QoR bit for bit, while
+// the routed twin follows the rejected buffer trials' dead slots, so only
+// the first calibration runs cold and each call counts once.
+func TestPrerouteClosureStaysIncremental(t *testing.T) {
+	runFlow := func(cold bool) (*closure.Result, string, map[string]any) {
+		d, err := gen.Generate(gen.Suite()[2]) // D3
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := closure.DefaultOptions(closure.TimerMGBA)
+		opt.RecalibrateEvery = 25
+		opt.Core.ViewPair = core.PreroutePair
+		opt.ColdRecalibrate = cold
+		prev := obs.Enabled()
+		defer obs.Enable(prev)
+		obs.Enable(true)
+		obs.Reset()
+		defer obs.Reset()
+		res, err := closure.Optimize(d, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, hashDesign(d), obs.Snapshot()
+	}
+	inc, incHash, snap := runFlow(false)
+	cold, coldHash, _ := runFlow(true)
+
+	if n := snap["closure.transforms.buffer.rejected"]; n == int64(0) {
+		t.Fatal("no buffer trial rejected; the run leaves no dead slot")
+	}
+	nCold, _ := snap["core.calibrations.cold"].(int64)
+	nInc, _ := snap["core.calibrations.incremental"].(int64)
+	if nCold > 1 {
+		t.Errorf("%d of %d calibrations ran cold, want only the first", nCold, inc.Calibrations)
+	}
+	if nCold+nInc != int64(inc.Calibrations) {
+		t.Errorf("calibrations counted %d cold + %d incremental, want %d in all", nCold, nInc, inc.Calibrations)
+	}
+	if incHash != coldHash {
+		t.Errorf("final designs diverge: %s vs %s", incHash, coldHash)
+	}
+	if inc.Transforms != cold.Transforms || inc.Calibrations != cold.Calibrations {
+		t.Errorf("flow differs: %d transforms / %d calibrations vs %d / %d",
+			inc.Transforms, inc.Calibrations, cold.Transforms, cold.Calibrations)
+	}
+	if inc.TimerWNS != cold.TimerWNS || inc.TimerTNS != cold.TimerTNS ||
+		inc.SignoffWNS != cold.SignoffWNS || inc.SignoffTNS != cold.SignoffTNS {
+		t.Errorf("QoR differs: timer %v/%v vs %v/%v, signoff %v/%v vs %v/%v",
+			inc.TimerWNS, inc.TimerTNS, cold.TimerWNS, cold.TimerTNS,
+			inc.SignoffWNS, inc.SignoffTNS, cold.SignoffWNS, cold.SignoffTNS)
+	}
+	if hashWeights(inc.Weights) != hashWeights(cold.Weights) {
+		t.Error("calibration weights diverge between incremental and cold")
 	}
 }

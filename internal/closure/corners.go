@@ -9,17 +9,18 @@ import (
 // Multi-corner closure: when Options.Core.Corners names N>=2 corners, the
 // calibrator hands the flow one fitted mGBA view per corner. The flow
 // keeps every extra corner's view advanced in lockstep with the selection
-// corner's (in-place Update for resizes, fresh runs across session
-// rebuilds), schedules repairs against the merged worst-corner slack, and
-// vetoes any transform that regresses a corner's WNS — a move is only
-// accepted when no corner gets worse, so closing the selection corner
-// never reopens another.
+// corner's (in-place Update for resizes, fresh runs on a structural
+// trial's session, each under the corner's own fitted weights), schedules
+// repairs against the merged worst-corner slack, and vetoes any transform
+// that regresses a corner's WNS — a move is only accepted when no corner
+// gets worse, so closing the selection corner never reopens another.
 
 // cornerView is one extra corner's live timing view inside the flow.
 type cornerView struct {
-	name string
-	cfg  sta.Config // the corner's analysis config, Weights unset
-	r    *sta.Result
+	name    string
+	cfg     sta.Config // the corner's analysis config, Weights unset
+	weights []float64  // the corner's fitted weights, padded with 1 for appended instances
+	r       *sta.Result
 }
 
 // CornerQoR is one corner's final timing in a multi-corner Result.
@@ -43,7 +44,7 @@ func (f *flow) adoptCorners(model *core.Model) {
 	}
 	f.cviews = make([]*cornerView, 0, len(model.Corners)-1)
 	for _, cf := range model.Corners[1:] {
-		f.cviews = append(f.cviews, &cornerView{name: cf.Spec.Name, cfg: cf.Cfg, r: cf.MGBA})
+		f.cviews = append(f.cviews, &cornerView{name: cf.Spec.Name, cfg: cf.Cfg, weights: cf.Weights, r: cf.MGBA})
 	}
 }
 
@@ -57,33 +58,17 @@ func (f *flow) releaseCorners() {
 	f.cviews = nil
 }
 
-// refreshCorners re-times every corner on the flow's current session
-// under the current weights — the corner half of refresh(), used across
-// the session rebuilds that drop the calibrator (buffer trials).
-func (f *flow) refreshCorners(weights []float64) {
-	if len(f.cviews) == 0 {
-		return
-	}
-	views := make([]*cornerView, 0, len(f.cviews))
-	for _, cv := range f.cviews {
-		// The old view belongs to the superseded session; just drop it.
-		cfg := cv.cfg
-		cfg.Weights = weights
-		views = append(views, &cornerView{name: cv.name, cfg: cv.cfg, r: f.sess.Run(cfg)})
-	}
-	f.cviews = views
-}
-
-// runCornersOn times every corner on a trial session (structural moves),
-// without touching the flow's own views.
-func (f *flow) runCornersOn(sess *engine.Session, weights []float64) []*sta.Result {
+// runCornersOn times every corner under its own weights on a trial
+// session (structural moves), without touching the flow's own views.
+func (f *flow) runCornersOn(sess *engine.Session) []*sta.Result {
 	if len(f.cviews) == 0 {
 		return nil
 	}
 	out := make([]*sta.Result, len(f.cviews))
 	for i, cv := range f.cviews {
+		cv.weights = padWeights(cv.weights, len(f.d.Instances))
 		cfg := cv.cfg
-		cfg.Weights = weights
+		cfg.Weights = cv.weights
 		out[i] = sess.Run(cfg)
 	}
 	return out

@@ -30,9 +30,9 @@ const (
 )
 
 // flow carries the mutable optimization state. The timing session is
-// rebuilt only on connectivity changes (buffer insertion, retiming); the
-// thousands of resize trials in between run through Result.Update against
-// the same session, allocating nothing.
+// replaced only when a connectivity-changing move (buffer insertion,
+// retiming) is accepted; the thousands of resize trials in between run
+// through Result.Update against the same session, allocating nothing.
 type flow struct {
 	d   *netlist.Design
 	opt Options
@@ -49,11 +49,9 @@ type flow struct {
 	weights []float64 // nil for GBA
 
 	// cal is the persistent mGBA calibrator; nil until the first
-	// calibration and reset whenever the session is rebuilt for a move
-	// the calibration cache cannot absorb (buffer insertion). calStale
-	// marks the calibrator as bound to a superseded session after an
-	// instance-preserving structural move (retiming); the next calibrate
-	// rebinds it instead of discarding it. dirty accumulates the
+	// calibration. calStale marks it as bound to a session an accepted
+	// structural move (buffer insertion, retiming) superseded; the next
+	// calibrate rebinds it instead of discarding it. dirty accumulates the
 	// instances whose timing changed through accepted transforms since
 	// the last calibration — the seed set for the calibrator's
 	// incremental re-enumeration.
@@ -182,17 +180,9 @@ func run(ctx context.Context, d *netlist.Design, opt Options, st *ckptState,
 		return nil, fmt.Errorf("closure: negative budgets")
 	}
 	start := time.Now()
-	f := &flow{d: d, opt: opt, ctx: ctx, res: &Result{Timer: opt.Timer}}
-	var err error
-	if f.reg, f.budgets, err = buildRegistry(opt); err != nil {
+	f, err := newFlow(ctx, d, opt)
+	if err != nil {
 		return nil, err
-	}
-	if f.sched, err = buildScheduler(opt.Scheduler); err != nil {
-		return nil, err
-	}
-	f.kindObs = make(map[string]kindMetrics)
-	for _, k := range f.reg.Kinds() {
-		f.kindObs[k] = kindMetricsFor(k)
 	}
 	ph, round := phaseRepair, 0
 	if st != nil {
@@ -204,14 +194,7 @@ func run(ctx context.Context, d *netlist.Design, opt Options, st *ckptState,
 	}
 	f.curPhase, f.curRound = ph, round
 
-	// Initial timing view. A resumed mGBA run re-times under the
-	// checkpointed weights instead of recalibrating, preserving the
-	// calibration cadence of the original run.
-	if st != nil && f.opt.Timer == TimerMGBA && f.weights != nil {
-		if err := f.refresh(); err != nil {
-			return nil, err
-		}
-	} else if err := f.rebuild(); err != nil {
+	if err := f.buildTiming(st != nil); err != nil {
 		return nil, err
 	}
 
@@ -309,43 +292,60 @@ func run(ctx context.Context, d *netlist.Design, opt Options, st *ckptState,
 	return f.res, nil
 }
 
-// rebuild reconstructs the timing graph and session (needed after
-// connectivity edits) and re-times the design, recalibrating mGBA weights
-// when applicable.
-func (f *flow) rebuild() error {
+// newFlow sets up a run's flow state: the transform registry and budgets,
+// the endpoint scheduler and the per-kind metrics.
+func newFlow(ctx context.Context, d *netlist.Design, opt Options) (*flow, error) {
+	f := &flow{d: d, opt: opt, ctx: ctx, res: &Result{Timer: opt.Timer}}
+	var err error
+	if f.reg, f.budgets, err = buildRegistry(opt); err != nil {
+		return nil, err
+	}
+	if f.sched, err = buildScheduler(opt.Scheduler); err != nil {
+		return nil, err
+	}
+	f.kindObs = make(map[string]kindMetrics)
+	for _, k := range f.reg.Kinds() {
+		f.kindObs[k] = kindMetricsFor(k)
+	}
+	return f, nil
+}
+
+// buildTiming builds the timing graph and session of the design the run
+// starts from, and its first timing view: a calibration (a plain analysis
+// under GBA). A resumed mGBA run re-times under its checkpointed weights
+// instead of recalibrating, preserving the calibration cadence of the
+// original run.
+func (f *flow) buildTiming(resumed bool) error {
 	g, err := graph.Build(f.d)
 	if err != nil {
 		return err
 	}
-	f.g = g
-	f.sess = engine.NewSession(g)
-	f.cal, f.calStale, f.dirty = nil, false, nil // new session: the old calibrator's cache is stale
+	f.g, f.sess = g, engine.NewSession(g)
+	if resumed && f.opt.Timer == TimerMGBA && f.weights != nil {
+		f.retire(f.sess.Run(f.weightedConfig()))
+		return nil
+	}
 	return f.calibrate()
 }
 
-// refresh rebuilds the graph and session and re-times with the *existing*
-// mGBA weights (padded with 1.0 for instances created since the last
-// calibration). The buffer-insertion trial loop uses it: a full
-// recalibration per candidate buffer would dwarf the cost of the
-// transform being evaluated.
-func (f *flow) refresh() error {
-	g, err := graph.Build(f.d)
-	if err != nil {
-		return err
-	}
-	f.g = g
-	f.sess = engine.NewSession(g)
-	f.cal, f.calStale, f.dirty = nil, false, nil // new session: the old calibrator's cache is stale
+// weightedConfig returns the analysis config the flow times under: the
+// current mGBA weights, padded with 1 for instances created since the last
+// calibration, or none under GBA.
+func (f *flow) weightedConfig() sta.Config {
 	cfg := f.opt.STA
 	if f.opt.Timer == TimerMGBA && f.weights != nil {
-		for len(f.weights) < len(f.d.Instances) {
-			f.weights = append(f.weights, 1)
-		}
+		f.weights = padWeights(f.weights, len(f.d.Instances))
 		cfg.Weights = f.weights
 	}
-	f.retire(f.sess.Run(cfg))
-	f.refreshCorners(cfg.Weights)
-	return nil
+	return cfg
+}
+
+// padWeights extends w with identity weights up to n instances.
+func padWeights(w []float64, n int) []float64 {
+	for len(w) < n {
+		w = append(w, 1)
+	}
+	return w
 }
 
 // calibrate refreshes the mGBA weights (or simply re-analyzes under GBA),
@@ -354,10 +354,11 @@ func (f *flow) refresh() error {
 // endpoints reached by the dirty gates' fan-out cones and rebuilds the
 // calibration problem from the cached paths, warm-starting the solve from
 // the previous correction. A calibrator left stale by an accepted structural
-// move is first rebound to the current session (the instance set is
-// intact, so the cache survives). Calibration cannot fail the flow: a
-// solver fault degrades down core's solver ladder — at worst to identity
-// weights (mGBA == GBA) — and is recorded in the Result.
+// move is first rebound to the current session (the design kept its
+// instances and at most appended a buffer, so the cache survives).
+// Calibration cannot fail the flow: a solver fault degrades down core's
+// solver ladder — at worst to identity weights (mGBA == GBA) — and is
+// recorded in the Result.
 func (f *flow) calibrate() error {
 	if f.opt.Timer == TimerGBA {
 		f.retire(f.sess.Run(f.opt.STA))
@@ -554,15 +555,13 @@ func (f *flow) repairEndpoint(fi int) (bool, error) {
 }
 
 // tryCandidate applies one candidate, arbitrates acceptance, and unwinds
-// rejections, dispatching on the transform's capability bits:
+// rejections, dispatching on the transform's capability bit:
 //
 //   - connectivity-preserving (upsize, downsize): advance the Result in
 //     place over the move's dirty set — the cheap path;
-//   - connectivity-changing without a dirty set (buffer): rebuild the
-//     session around the trial and leave the next calibration cold;
-//   - connectivity-changing with a dirty set (retime): time the trial on
-//     a fresh session, and on acceptance adopt it, mark the calibrator
-//     for rebinding, and widen the dirty set with the graph-state diff.
+//   - connectivity-changing (buffer, retime): time the trial on a fresh
+//     session, and on acceptance adopt it, mark the calibrator for
+//     rebinding, and widen the dirty set with the graph-state diff.
 func (f *flow) tryCandidate(tr transform.Transform, fi int, c transform.Candidate) (bool, error) {
 	a := f.analysis()
 	before := f.snap(fi)
@@ -592,64 +591,34 @@ func (f *flow) tryCandidate(tr transform.Transform, fi int, c transform.Candidat
 		}
 		return false, nil
 	}
-	if mv.DirtySet() == nil {
-		return f.tryCold(tr, fi, mv, before)
-	}
 	return f.tryStructural(tr, fi, mv, before)
 }
 
-// tryCold is the trial protocol for connectivity-changing moves without a
-// dirty set (buffer insertion): rebuild the session around the trial —
-// dropping the calibrator, so the next mGBA calibration is cold — and
-// rebuild again if the move is rejected and reverted.
-func (f *flow) tryCold(tr transform.Transform, fi int, mv transform.Move, before transform.Snapshot) (bool, error) {
-	cwns := f.cornerWNS()
-	if err := f.refresh(); err != nil {
-		return false, err
-	}
-	if tr.Accept(before, f.snap(fi)) && !f.cornersRegressed(cwns) {
-		return true, nil
-	}
-	f.noteReject(tr.Kind())
-	if err := mv.Revert(f.analysis()); err != nil {
-		return false, err
-	}
-	if err := f.refresh(); err != nil {
-		return false, err
-	}
-	return false, nil
-}
-
 // tryStructural is the trial protocol for connectivity-changing moves
-// that preserve the instance set (retiming). The trial is timed on a
-// fresh session; on acceptance the flow adopts it, marks the calibrator
-// stale (the next calibrate rebinds instead of going cold), and widens
-// the move's structural dirty set with every instance whose graph-derived
-// depth or bounding-box state moved — together they cover exactly the
-// instances whose timing the slide could have changed, which is what
-// makes the subsequent incremental recalibration bit-identical to a cold
-// one. On rejection the move is reverted and the pre-trial session — the
-// design is bit-identical again — simply remains in place.
+// (buffer insertion, retiming). The trial is timed on a fresh session; on
+// acceptance the flow adopts it, marks the calibrator stale (the next
+// calibrate rebinds instead of going cold), and widens the move's
+// structural dirty set with every instance whose graph-derived depth or
+// bounding-box state moved — together they cover exactly the instances
+// whose timing the move could have changed, which is what makes the
+// subsequent incremental recalibration bit-identical to a cold one. On
+// rejection the move is reverted and the pre-trial session, timing view
+// and calibrator simply remain in place: the design times identically
+// again (a reverted buffer leaves only a dead instance slot, which the
+// pre-trial session never saw).
 func (f *flow) tryStructural(tr transform.Transform, fi int, mv transform.Move, before transform.Snapshot) (bool, error) {
 	g2, err := graph.Build(f.d)
 	if err != nil {
 		return false, fmt.Errorf("closure: %s move broke the timing graph: %w", mv.Kind(), err)
 	}
 	newSess := engine.NewSession(g2)
-	cfg := f.opt.STA
-	if f.opt.Timer == TimerMGBA && f.weights != nil {
-		for len(f.weights) < len(f.d.Instances) {
-			f.weights = append(f.weights, 1)
-		}
-		cfg.Weights = f.weights
-	}
-	newR := newSess.Run(cfg)
+	newR := newSess.Run(f.weightedConfig())
 	after := transform.Snapshot{Slack: math.NaN(), WNS: newR.WNS, TNS: newR.TNS}
 	if fi >= 0 {
 		after.Slack = newR.Slack[fi]
 	}
 	cwns := f.cornerWNS()
-	newCViews := f.runCornersOn(newSess, cfg.Weights)
+	newCViews := f.runCornersOn(newSess)
 	if tr.Accept(before, after) && !vetoedByCorners(cwns, newCViews) {
 		dirty := append([]int(nil), mv.DirtySet()...)
 		dirty = append(dirty, diffSessions(f.sess, newSess)...)
@@ -679,11 +648,12 @@ func (f *flow) tryStructural(tr transform.Transform, fi int, mv transform.Move, 
 }
 
 // diffSessions returns the instances whose graph-derived derate inputs —
-// GBA depth or GBA bounding-box distance — differ between two sessions
-// over the same instance set. A retiming slide can move these outside the
-// slide's own neighborhood (depth suffixes and box unions propagate
-// against the data flow), and any such instance times differently even
-// though nothing around it was edited.
+// GBA depth or GBA bounding-box distance — differ between two sessions,
+// over the old session's instances (instances appended since are in the
+// move's own dirty set). A structural move can shift these outside its
+// own neighborhood (depth suffixes and box unions propagate against the
+// data flow), and any such instance times differently even though nothing
+// around it was edited.
 func diffSessions(old, cur *engine.Session) []int {
 	var out []int
 	for i := range old.Depths.GBA {

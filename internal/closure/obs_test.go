@@ -83,3 +83,48 @@ func TestObsOnOffClosureBitIdentical(t *testing.T) {
 		})
 	}
 }
+
+// TestStructuralTrialsKeepSessionAndCalibrator counts the mechanism behind
+// the closure-d3 benchmark configuration (D3, DefaultOptions(mGBA),
+// RecalibrateEvery 25). Its buffer trials are all rejected; each is timed
+// on one throwaway session, and the pre-trial session, timing view and
+// calibrator stay in place. So one run makes 18 full engine runs and only
+// its first calibration runs cold. Rebuilding the session around every
+// trial and its revert, and dropping the calibrator with it, made it 41
+// runs and 5 cold calibrations.
+func TestStructuralTrialsKeepSessionAndCalibrator(t *testing.T) {
+	d, err := gen.Generate(gen.Suite()[2]) // D3; the generator times it too
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := obs.Enabled()
+	defer obs.Enable(prev)
+	obs.Enable(true)
+	obs.Reset()
+	defer obs.Reset()
+
+	opt := closure.DefaultOptions(closure.TimerMGBA)
+	opt.RecalibrateEvery = 25
+	res, err := closure.Optimize(d, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := obs.Snapshot()
+	count := func(name string) int64 {
+		v, _ := snap[name].(int64)
+		return v
+	}
+	if n := count("closure.transforms.buffer.rejected"); n == 0 {
+		t.Fatal("no buffer trial ran; the configuration no longer exercises the structural protocol")
+	}
+	if n := count("engine.runs"); n != 18 {
+		t.Errorf("engine.runs = %d, want 18", n)
+	}
+	if n := count("core.calibrations.cold"); n != 1 {
+		t.Errorf("core.calibrations.cold = %d, want 1", n)
+	}
+	if inc := count("core.calibrations.incremental"); inc+1 != int64(res.Calibrations) {
+		t.Errorf("core.calibrations.incremental = %d, want %d (every calibration but the first)",
+			inc, res.Calibrations-1)
+	}
+}

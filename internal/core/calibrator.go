@@ -32,9 +32,9 @@ import (
 // cannot be guaranteed: a cancelled, faulted or failed calibration, a
 // dirty set touching the clock network, a population over MaxPaths. A
 // streamed (Options.StreamShard > 0) calibrator keeps no cache: every call
-// runs cold. Topology changes (buffer insertion) invalidate the
-// engine.Session itself; build a new Calibrator on the new session, seeded
-// with the old weights via Options.WarmWeights or SetWarmWeights.
+// runs cold. Topology changes (buffer insertion, register retiming)
+// invalidate the engine.Session itself; Rebind moves the calibrator, cache
+// included, to the session rebuilt for the new design state.
 //
 // A Calibrator is not safe for concurrent use. Returned models are never
 // mutated by later calls.
@@ -159,26 +159,29 @@ func (c *Calibrator) SetWarmWeights(w []float64) {
 }
 
 // Rebind moves the calibrator to a new engine.Session after a structural
-// edit that preserved the instance set and the clock network — a register
-// retiming slide. The per-endpoint path cache survives: the caller owes
-// the next Recalibrate a dirty set covering every instance whose timing or
-// graph-derived state (depth, bounding box) the edit moved, whose fan-out
-// cone then covers every endpoint whose cached paths could have changed —
-// clean endpoints' enumerations and retimings are provably still exact.
-// The cached baselines are tied to the old session's graph, so every
-// corner's baseline is re-run on the new session and the private weighted
-// baselines are dropped (the next Recalibrate re-derives them).
+// edit of the same design that kept its flip-flops and the clock network
+// and at most appended instances — a register retiming slide or a buffer
+// insertion. The per-endpoint path cache survives: the caller owes the
+// next Recalibrate a dirty set covering every instance whose timing or
+// graph-derived state (depth, bounding box) the edit moved, appended
+// instances included, whose fan-out cone then covers every endpoint whose
+// cached paths could have changed — clean endpoints' enumerations and
+// retimings are provably still exact. The cached baselines are tied to
+// the old session's graph, so every corner's baseline is re-run on the new
+// session and the private weighted baselines are dropped (the next
+// Recalibrate re-derives them).
 //
-// A new session whose design changed instance count voids the cache
-// entirely; Rebind then degrades to an Invalidate and the next call runs
-// cold.
+// The shape test reads the two sessions' recorded geometry: a session over
+// another design, with another flip-flop count or with fewer instances
+// voids the cache entirely; Rebind then degrades to an Invalidate and the
+// next call runs cold.
 func (c *Calibrator) Rebind(s *engine.Session) error {
 	if s == nil {
 		return fmt.Errorf("core: rebind to nil session")
 	}
-	sameShape := c.sess != nil &&
-		len(s.G.D.Instances) == len(c.sess.G.D.Instances) &&
-		len(s.G.D.FFs) == len(c.sess.G.D.FFs)
+	sameShape := c.sess != nil && s.G.D == c.sess.G.D &&
+		s.NumFFs() == c.sess.NumFFs() &&
+		s.NumInstances() >= c.sess.NumInstances()
 	c.sess = s
 	for _, k := range c.corners {
 		k.cheap.Rebind(s)
@@ -350,29 +353,26 @@ func (c *Calibrator) coldFit(ctx context.Context, sp *obs.Span, sel *pathsel.Sel
 }
 
 // Recalibrate re-fits the weights after the given instances changed (gate
-// or flip-flop resizes; anything that left the graph's connectivity and
-// clock network intact). With a valid cache it runs the incremental path —
-// update the baselines over the dirty cone, re-enumerate and retime only
-// the affected endpoints, rebuild the rows from the cached groups,
-// warm-start the solve — and returns a model bit-identical to a cold
-// Calibrate of the same state. Without one (first call, streamed
-// calibrator, after a fault, after Invalidate) it runs a cold
-// calibration. A re-enumerated population over MaxPaths is an error that
-// also drops the cache.
+// or flip-flop resizes, or the structural edits Rebind accepts). With a
+// valid cache it runs the incremental path — update the baselines over
+// the dirty cone, re-enumerate and retime only the affected endpoints,
+// rebuild the rows from the cached groups, warm-start the solve — and
+// returns a model bit-identical to a cold Calibrate of the same state.
+// Without one (first call, streamed calibrator, after a fault, after
+// Invalidate) it runs a cold calibration. A re-enumerated population over
+// MaxPaths is an error that also drops the cache.
 func (c *Calibrator) Recalibrate(ctx context.Context, dirty []int) (*Model, error) {
 	if c.groups == nil {
 		return c.cold(ctx, nil)
 	}
-	d := c.sess.G.D
 	for _, id := range dirty {
-		if id < 0 || id >= len(d.Instances) || c.sess.G.IsClock(id) {
-			// Unknown instance or a touched clock cell: the cache's
-			// clock-invariance assumptions are void, go cold.
+		if id < 0 || id >= c.sess.NumInstances() || c.sess.G.IsClock(id) {
+			// An instance the session does not time, or a touched clock
+			// cell: the cache's clock-invariance assumptions are void, go
+			// cold.
 			return c.cold(ctx, nil)
 		}
 	}
-	c.stats.Incremental++
-	obsCalibIncremental.Inc()
 	sp := obs.StartSpan("calibrate.recalibrate")
 	defer sp.End()
 	m, err := c.incremental(ctx, sp, dirty)
@@ -387,10 +387,12 @@ func (c *Calibrator) incremental(ctx context.Context, sp *obs.Span, dirty []int)
 		k.gba.Update(dirty)
 		if err := k.golden.Update(dirty); err != nil {
 			// The incremental mirror failed; a cold calibration re-derives
-			// the golden view from scratch instead.
+			// the golden view from scratch instead (and counts as one).
 			return c.cold(ctx, nil)
 		}
 	}
+	c.stats.Incremental++
+	obsCalibIncremental.Inc()
 	m := c.newModel(c.corners[0])
 	if cancelled(ctx) {
 		return c.abandon(m, "cancelled before path selection"), nil
@@ -624,7 +626,9 @@ func (c *Calibrator) reanalyze(k *corner, fm *Model, dirty []int) {
 		return
 	}
 	wdirty := append([]int(nil), dirty...)
-	for i, w := range fm.Weights {
+	// Instances past the session's geometry (dead slots appended after it
+	// was built) carry weights but no timing.
+	for i, w := range fm.Weights[:c.sess.NumInstances()] {
 		if k.mweights[i] != w {
 			wdirty = append(wdirty, i)
 		}

@@ -2,10 +2,12 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"mgba/internal/core"
 	"mgba/internal/engine"
+	"mgba/internal/obs"
 	"mgba/internal/sta"
 )
 
@@ -239,4 +241,73 @@ func containsStr(haystack, needle string) bool {
 		}
 	}
 	return false
+}
+
+// failingUpdatePair is the default pair with a golden provider whose
+// incremental Update fails on demand, forcing Recalibrate's cold
+// fallback.
+type failingUpdatePair struct{ fail *bool }
+
+func (failingUpdatePair) Name() string { return "test-failing-update" }
+
+func (p failingUpdatePair) Bind(s *engine.Session, cfg sta.Config, opt core.Options) (core.CheapView, core.GoldenProvider, error) {
+	base, err := core.LookupViewPair(core.DefaultViewPair)
+	if err != nil {
+		return nil, nil, err
+	}
+	cheap, golden, err := base.Bind(s, cfg, opt)
+	return cheap, failingUpdate{golden, p.fail}, err
+}
+
+type failingUpdate struct {
+	core.GoldenProvider
+	fail *bool
+}
+
+func (f failingUpdate) Update(dirty []int) error {
+	if *f.fail {
+		return errors.New("mirror out of step")
+	}
+	return f.GoldenProvider.Update(dirty)
+}
+
+var failUpdate = new(bool)
+
+func init() { core.RegisterViewPair(failingUpdatePair{fail: failUpdate}) }
+
+// TestGoldenUpdateFallbackCountsOnce: a Recalibrate whose golden mirror
+// cannot follow the dirty set falls back to a cold calibration, and that
+// call counts as cold only — in the stats and in the metrics alike.
+func TestGoldenUpdateFallbackCountsOnce(t *testing.T) {
+	d, g, sess := calDesign(t)
+	ctx := context.Background()
+	opt := core.DefaultOptions()
+	opt.ViewPair = "test-failing-update"
+	cal, err := core.NewCalibrator(sess, sta.DefaultConfig(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := cal.Calibrate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := upsizeSelected(t, d, g, m, 3)
+
+	prev := obs.Enabled()
+	defer obs.Enable(prev)
+	obs.Enable(true)
+	obs.Reset()
+	defer obs.Reset()
+	*failUpdate = true
+	defer func() { *failUpdate = false }()
+	if _, err := cal.Recalibrate(ctx, dirty); err != nil {
+		t.Fatal(err)
+	}
+	if st := cal.Stats(); st.Cold != 2 || st.Incremental != 0 {
+		t.Fatalf("fallback miscounted: stats %+v, want 2 cold and 0 incremental", st)
+	}
+	snap := obs.Snapshot()
+	if c, i := snap["core.calibrations.cold"], snap["core.calibrations.incremental"]; c != int64(1) || i != int64(0) {
+		t.Fatalf("fallback metrics: cold %v incremental %v, want 1 and 0", c, i)
+	}
 }

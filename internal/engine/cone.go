@@ -22,8 +22,8 @@ func (s *Session) getConeScratch() *coneScratch {
 	}
 	s.scratchMu.Unlock()
 	return &coneScratch{
-		seen: make([]bool, len(s.G.D.Instances)),
-		hit:  make([]bool, len(s.G.D.FFs)),
+		seen: make([]bool, s.nInst),
+		hit:  make([]bool, s.nFF),
 	}
 }
 

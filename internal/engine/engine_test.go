@@ -219,6 +219,65 @@ func TestBufferInsertionRebuild(t *testing.T) {
 	requireIdentical(t, cold, r2, "rebuilt")
 }
 
+// TestCloneAfterDesignGrowth pins the session geometry: a buffer inserted
+// and then removed under a live session leaves a dead instance slot in the
+// design, which the session (built before it) does not time. Results the
+// session hands out afterwards must keep its original layout, so a clone
+// of an earlier Result and a fresh Run both equal that Result bit for bit.
+func TestCloneAfterDesignGrowth(t *testing.T) {
+	d, g := buildDesign(t, gen.Toy())
+	cfg := engine.DefaultConfig()
+	s := engine.NewSession(g)
+	r := s.Run(cfg)
+	defer r.Release()
+
+	bufs := d.Lib.Variants(cells.Buf)
+	var b *netlist.Instance
+	for _, v := range g.Topo {
+		in := d.Instances[v]
+		if in.IsFF() || in.Output < 0 || len(d.Nets[in.Output].Sinks) < 2 {
+			continue
+		}
+		var err error
+		if b, err = d.InsertBuffer(in.Output, bufs[len(bufs)-1], "trial"); err != nil {
+			t.Fatal(err)
+		}
+		break
+	}
+	if b == nil {
+		t.Fatal("no net suitable for buffering")
+	}
+	if err := d.RemoveBuffer(b); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Instances) != s.NumInstances()+1 {
+		t.Fatalf("design has %d instances, want the session's %d plus one dead slot",
+			len(d.Instances), s.NumInstances())
+	}
+
+	cl := r.Clone()
+	defer cl.Release()
+	fresh := s.Run(cfg)
+	defer fresh.Release()
+	for _, c := range []struct {
+		label string
+		got   *engine.Result
+	}{{"clone", cl}, {"fresh run", fresh}} {
+		label, got := c.label, c.got
+		requireIdentical(t, r, got, label)
+		if len(got.ArrivalOut) != len(r.ArrivalOut) || len(got.Slack) != len(r.Slack) {
+			t.Fatalf("%s: layout %d/%d instances/endpoints, want %d/%d", label,
+				len(got.ArrivalOut), len(got.Slack), len(r.ArrivalOut), len(r.Slack))
+		}
+		for v := range r.NominalDelay {
+			if !eq(r.NominalDelay[v], got.NominalDelay[v]) || !eq(r.Derate[v], got.Derate[v]) ||
+				!eq(r.WireDelay[v], got.WireDelay[v]) || !eq(r.MinArrival[v], got.MinArrival[v]) {
+				t.Fatalf("%s: instance %d per-run state differs", label, v)
+			}
+		}
+	}
+}
+
 // TestClockStateCachedAcrossRuns checks that the clock insertion delays and
 // CRPR credits are computed once per clock configuration and shared by
 // every Run: same backing arrays, one cache entry per distinct clockKey.

@@ -23,10 +23,18 @@ import (
 // insertion, cell moves): rebuild the graph and the Session then. Gate
 // resizing on the data path does not invalidate it — that is what
 // Result.Update is for.
+//
+// The Session's geometry — its instance and flip-flop counts — is fixed
+// when it is built. Instances the design gains afterwards (the dead slot
+// a reverted buffer insertion leaves behind) lie outside the Session:
+// every per-run buffer it hands out keeps the geometry it was built with,
+// so Results of one Session always share one layout.
 type Session struct {
 	G      *graph.Graph
 	Depths *graph.Depths
 	Boxes  *graph.Boxes
+
+	nInst, nFF int // geometry at build time: len(D.Instances), len(D.FFs)
 
 	// Levelization of the data DAG: level 0 holds the flip-flops (path
 	// sources), level l>0 the combinational gates whose deepest fanin sits
@@ -82,8 +90,10 @@ func NewSession(g *graph.Graph) *Session {
 		Depths: g.ComputeDepths(),
 		Boxes:  g.ComputeBoxes(),
 		clocks: make(map[clockKey]*clockState),
+		nInst:  len(g.D.Instances),
+		nFF:    len(g.D.FFs),
 	}
-	s.topoPos = make([]int32, len(g.D.Instances))
+	s.topoPos = make([]int32, s.nInst)
 	for i := range s.topoPos {
 		s.topoPos[i] = -1
 	}
@@ -93,6 +103,15 @@ func NewSession(g *graph.Graph) *Session {
 	s.levelize()
 	return s
 }
+
+// NumInstances returns the design's instance count when the Session was
+// built: the length of every per-instance slice of its Results. Instance
+// IDs at or above it are unknown to the Session.
+func (s *Session) NumInstances() int { return s.nInst }
+
+// NumFFs returns the design's flip-flop count when the Session was built:
+// the length of every per-endpoint slice of its Results.
+func (s *Session) NumFFs() int { return s.nFF }
 
 // levelize groups the data instances by topological level. Within a level
 // no instance feeds another (any data edge raises the sink's level), so a
@@ -348,8 +367,7 @@ func (s *Session) getScratch() *scratch {
 		return sc
 	}
 	s.scratchMu.Unlock()
-	sc := newScratch(len(s.G.D.Instances), len(s.G.D.FFs))
-	return sc
+	return newScratch(s.nInst, s.nFF)
 }
 
 // Run executes one full forward/backward analysis under cfg, drawing its

@@ -299,6 +299,10 @@ type SolverRow struct {
 	Paths    int
 	Accuracy map[core.Method]float64 // mse over selected paths
 	Seconds  map[core.Method]float64 // solver wall-clock
+	// Work is the matrix rows the calibration's solver attempts read
+	// (solver.Stats.RowWork summed over the ladder): the solvers' cost as
+	// counted work, free of the wall clock's noise.
+	Work map[core.Method]int
 }
 
 // Table4 compares GD, SCG and SCG+RS on every suite design: modelling mse
@@ -313,6 +317,7 @@ func Table4(e *Env) (*report.Table, []SolverRow, error) {
 	var rows []SolverRow
 	sumAcc := map[core.Method]float64{}
 	sumTime := map[core.Method]float64{}
+	sumWork := map[core.Method]int{}
 	n := 0
 	for _, cfg := range e.SuiteConfigs() {
 		// The analysis experiments use the uncapped constraint profile:
@@ -328,7 +333,8 @@ func Table4(e *Env) (*report.Table, []SolverRow, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		row := SolverRow{Design: cfg.Name, Accuracy: map[core.Method]float64{}, Seconds: map[core.Method]float64{}}
+		row := SolverRow{Design: cfg.Name, Accuracy: map[core.Method]float64{},
+			Seconds: map[core.Method]float64{}, Work: map[core.Method]int{}}
 		for _, method := range methods {
 			opt := core.DefaultOptions()
 			opt.Method = method
@@ -343,6 +349,9 @@ func Table4(e *Env) (*report.Table, []SolverRow, error) {
 			row.Paths = mt.Paths
 			row.Accuracy[method] = mt.MSE
 			row.Seconds[method] = m.Stats.Elapsed.Seconds()
+			for _, a := range m.Attempts {
+				row.Work[method] += a.Stats.RowWork
+			}
 		}
 		gd := row.Seconds[core.MethodGD]
 		t.AddRow(cfg.Name, fmt.Sprintf("%d", row.Paths),
@@ -355,6 +364,7 @@ func Table4(e *Env) (*report.Table, []SolverRow, error) {
 		for _, method := range methods {
 			sumAcc[method] += row.Accuracy[method]
 			sumTime[method] += row.Seconds[method]
+			sumWork[method] += row.Work[method]
 		}
 		n++
 		e.logf("table4: %s done\n", cfg.Name)
@@ -367,6 +377,13 @@ func Table4(e *Env) (*report.Table, []SolverRow, error) {
 			report.F(gd/math.Max(sumTime[core.MethodSCG]/float64(n), 1e-9), 2),
 			report.F(sumAcc[core.MethodSCGRS]/float64(n)*1e3, 3), report.F(sumTime[core.MethodSCGRS]/float64(n), 3),
 			report.F(gd/math.Max(sumTime[core.MethodSCGRS]/float64(n), 1e-9), 2))
+	}
+	if n > 0 {
+		gd := float64(sumWork[core.MethodGD])
+		t.AddNote("counted work, matrix rows read over the suite: GD %d, SCG %d (%sx less), SCG+RS %d (%sx less)",
+			sumWork[core.MethodGD],
+			sumWork[core.MethodSCG], report.F(gd/math.Max(float64(sumWork[core.MethodSCG]), 1), 2),
+			sumWork[core.MethodSCGRS], report.F(gd/math.Max(float64(sumWork[core.MethodSCGRS]), 1), 2))
 	}
 	t.AddNote("paper averages: GD 2.97e-3 @1.00x, SCG 2.45e-3 @2.71x, SCG+RS 1.99e-3 @13.82x")
 	return t, rows, nil

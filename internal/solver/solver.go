@@ -467,6 +467,15 @@ type Stats struct {
 	Objective float64       // objective on the *full* problem at the result
 	Elapsed   time.Duration // wall-clock time of the solve
 
+	// RowWork counts the matrix rows the solve read: a deterministic
+	// measure of its work, where Elapsed is a noisy one. Each full pass
+	// (objective, gradient, sampling norms) adds the system's row count;
+	// each minibatch kernel (row terms, gradient scatter, step reduction)
+	// adds its sample count; building a sampled sub-problem adds the rows
+	// it copies, and its inner solve adds that solve's own RowWork. GD,
+	// SCG and SCGRS count it; the FullSolve reference leaves it zero.
+	RowWork int
+
 	// Converged is true when the solver stopped because it reached its
 	// attainable accuracy (tolerance met, exact stationary point, or
 	// noise/precision floor) rather than exhausting its budget, being
@@ -579,8 +588,10 @@ func GD(ctx context.Context, p *Problem, opt Options) ([]float64, Stats, error) 
 	g := make([]float64, n)
 	gNext := make([]float64, n)
 	diff := make([]float64, n)
-	st := Stats{RowsUsed: p.A.Rows(), Reason: StopMaxIters}
+	m := p.A.Rows()
+	st := Stats{RowsUsed: m, Reason: StopMaxIters}
 	f := p.Objective(x)
+	st.RowWork += m
 	f0 := f
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		// A non-finite warm start is unusable; restart from zero, the
@@ -588,6 +599,7 @@ func GD(ctx context.Context, p *Problem, opt Options) ([]float64, Stats, error) 
 		st.NumericalEvents++
 		num.Fill(x, 0)
 		f = p.Objective(x)
+		st.RowWork += m
 		f0 = f
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			// The problem data itself is non-finite; x = 0 is the only
@@ -613,6 +625,7 @@ func GD(ctx context.Context, p *Problem, opt Options) ([]float64, Stats, error) 
 		}
 		if !haveGrad {
 			p.Gradient(g, x)
+			st.RowWork += m
 		}
 		faultinject.Slice(faultinject.SolverGradient, g)
 		if !num.AllFinite(g) {
@@ -636,6 +649,7 @@ func GD(ctx context.Context, p *Problem, opt Options) ([]float64, Stats, error) 
 				x[j] = prev[j] - t*g[j]
 			}
 			fNew, _ := p.ObjectiveGradient(gNext, x)
+			st.RowWork += m
 			if math.IsNaN(fNew) || math.IsInf(fNew, 0) {
 				st.NumericalEvents++
 				t /= 2
@@ -705,6 +719,7 @@ func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, 
 		return x, st, nil
 	}
 	weightsVec := p.A.RowNormsSq()
+	st.RowWork += m
 	// A corrupted matrix row yields a non-finite norm, which the weighted
 	// sampler rejects by panicking. Excluding such rows from sampling keeps
 	// the solve alive; the full-objective divergence check still sees them,
@@ -771,6 +786,7 @@ func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, 
 	const maxNumericalEvents = 50
 	best := num.Copy(x)
 	bestF := p.Objective(x)
+	st.RowWork += m
 	if math.IsNaN(bestF) || math.IsInf(bestF, 0) {
 		// A non-finite warm start is unusable; restart from zero, the
 		// always-valid identity point of the correction space.
@@ -778,6 +794,7 @@ func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, 
 		num.Fill(x, 0)
 		copy(best, x)
 		bestF = p.Objective(x)
+		st.RowWork += m
 		if math.IsNaN(bestF) || math.IsInf(bestF, 0) {
 			st.Reason = StopDiverged
 			st.Objective = bestF
@@ -815,6 +832,7 @@ func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, 
 		for t := 0; t < k; t++ {
 			p.A.AddScaledRow(g, rows[t], 2*coeffs[t])
 		}
+		st.RowWork += 2 * k
 		faultinject.Slice(faultinject.SolverGradient, g)
 		gn := num.Norm2(g)
 		if math.IsNaN(gn) || math.IsInf(gn, 0) {
@@ -861,6 +879,7 @@ func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, 
 		// the minibatch curvature vanishes, and a trust region bounds the
 		// displacement against minibatch noise.
 		par.ForBody(kWorkers, k, miniGrain, ab)
+		st.RowWork += k
 		var numer, denom float64
 		for b := 0; b < kBlocks; b++ {
 			numer += alphaN[b]
@@ -898,6 +917,7 @@ func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, 
 		copy(gPrev, g)
 		if st.Iters%checkEvery == 0 {
 			f := p.Objective(x)
+			st.RowWork += m
 			obsObjective.Set(f)
 			switch {
 			case f < bestF*(1-1e-6):
@@ -943,6 +963,7 @@ func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, 
 		bestF = f
 		copy(best, x)
 	}
+	st.RowWork += m
 	copy(x, best)
 	st.Converged = st.Reason.terminal()
 	st.Objective = bestF
@@ -979,6 +1000,7 @@ func SCGRS(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64
 		return x, st, nil
 	}
 	f0 := p.Objective(x)
+	st.RowWork += m
 	// Algorithm 1 doubles the sampling ratio each round; the row count is
 	// floored at MinRows so the doubling acts on the actual system size
 	// from the first round on.
@@ -1000,6 +1022,7 @@ func SCGRS(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64
 		}
 		sel := r.SampleWithoutReplacement(m, rows)
 		sub := p.SubProblem(sel)
+		st.RowWork += rows
 		var innerStats Stats
 		var err error
 		// Warm-start each round from the previous round's solution: the
@@ -1011,6 +1034,7 @@ func SCGRS(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64
 			return nil, st, err
 		}
 		st.Iters += innerStats.Iters
+		st.RowWork += innerStats.RowWork
 		st.RowsUsed = rows
 		st.NumericalEvents += innerStats.NumericalEvents
 		st.Reverts += innerStats.Reverts
@@ -1037,6 +1061,7 @@ func SCGRS(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64
 	}
 	st.Converged = st.Reason.terminal()
 	st.Objective = p.Objective(x)
+	st.RowWork += m
 	st.Improved = st.Objective < f0
 	st.Elapsed = time.Since(start)
 	observeSolve(obsSolvesSCGRS, &st)

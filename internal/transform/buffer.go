@@ -27,8 +27,7 @@ func NewBuffer(minWireDelay float64, drive int) *Buffer {
 func (*Buffer) Kind() string { return "buffer" }
 
 // ConnectivityChanging implements Transform: an insertion adds an instance
-// and a net, invalidating the graph, the session, and the calibration
-// cache (hence the nil DirtySet of its moves).
+// and a net, invalidating the graph and the session.
 func (*Buffer) ConnectivityChanging() bool { return true }
 
 // Propose implements Transform: the single path net with the largest wire
@@ -61,7 +60,11 @@ func (t *Buffer) Apply(a *Analysis, c Candidate) (Move, error) {
 	if err != nil {
 		return nil, nil
 	}
-	return &bufferMove{buf: b, cost: buf.Area}, nil
+	dirty := append([]int(nil), a.D.Nets[b.Output].Sinks...)
+	if drv := a.D.Nets[c.Target].Driver; drv >= 0 {
+		dirty = append(dirty, drv)
+	}
+	return &bufferMove{buf: b, cost: buf.Area, dirty: append(dirty, b.ID)}, nil
 }
 
 // Accept implements Transform: the target endpoint must improve without
@@ -72,8 +75,9 @@ func (*Buffer) Accept(before, after Snapshot) bool {
 }
 
 type bufferMove struct {
-	buf  *netlist.Instance
-	cost float64
+	buf   *netlist.Instance
+	cost  float64
+	dirty []int
 }
 
 func (m *bufferMove) Kind() string { return "buffer" }
@@ -82,8 +86,10 @@ func (m *bufferMove) Revert(a *Analysis) error {
 	return a.D.RemoveBuffer(m.buf)
 }
 
-// DirtySet implements Move: nil — the insertion created an instance, which
-// the incremental calibration cache cannot absorb; the flow goes cold.
-func (m *bufferMove) DirtySet() []int { return nil }
+// DirtySet implements Move: the split net's sinks (their input net
+// changed), its driver (its load changed) and the new buffer. Instances
+// whose graph-derived depth or bounding box the insertion moved further
+// away are the caller's to add, from the rebuilt session.
+func (m *bufferMove) DirtySet() []int { return m.dirty }
 
 func (m *bufferMove) Cost() float64 { return m.cost }

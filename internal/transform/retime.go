@@ -21,10 +21,9 @@ const (
 
 // Retime is the structural repair transform: lag-based movement of a
 // register across an adjacent single-input combinational gate (netlist
-// RetimeBackward/RetimeForward). It is the move the calibrator's
-// structural dirty sets exist for: connectivity changes but the instance
-// set does not, so an accepted slide rebinds the calibration session and
-// recalibrates incrementally instead of going cold.
+// RetimeBackward/RetimeForward). Connectivity changes but the instance
+// set does not; like a buffer insertion, an accepted slide rebinds the
+// calibration session and recalibrates incrementally.
 //
 // The transform tracks a per-register lag (net backward slides) and caps
 // its magnitude, bounding how far any register can drift from its placed
@@ -44,8 +43,6 @@ func NewRetime(maxLag int) *Retime {
 func (*Retime) Kind() string { return "retime" }
 
 // ConnectivityChanging implements Transform: a slide rewires three nets.
-// Unlike buffer insertion its moves carry a non-nil DirtySet, so the flow
-// stays on the incremental calibration path.
 func (*Retime) ConnectivityChanging() bool { return true }
 
 // Lag returns the current lag of register ff (positive = slid backward).
@@ -212,8 +209,9 @@ func (m *retimeMove) Revert(a *Analysis) error {
 	return nil
 }
 
-// DirtySet implements Move: non-nil — a slide preserves the instance set,
-// so the calibrator absorbs it incrementally after a session rebind.
+// DirtySet implements Move: the moved register, the gate it crossed and
+// the drivers of their input nets; the calibrator absorbs the slide
+// incrementally after a session rebind.
 func (m *retimeMove) DirtySet() []int { return m.dirty }
 
 // Cost implements Move: a slide swaps no cells, so its area delta is zero.

@@ -13,14 +13,13 @@
 //   - !ConnectivityChanging (upsize, downsize): the timing graph is
 //     untouched, the flow advances its Result in place with
 //     Result.Update(DirtySet) — thousands of trials against one session.
-//   - ConnectivityChanging with DirtySet == nil (buffer insertion): the
-//     move invalidates the session and gives no usable dirty seed (it
-//     creates an instance, which the calibration cache cannot absorb);
-//     the flow rebuilds the session and the next mGBA calibration is cold.
-//   - ConnectivityChanging with DirtySet != nil (retiming): the move
-//     rewires the graph but preserves the instance set, so the flow
-//     rebuilds the session, rebinds the persistent calibrator to it, and
-//     the dirty set drives an exact *incremental* recalibration.
+//   - ConnectivityChanging (buffer insertion, retiming): the move rewires
+//     the graph — a buffer also appends an instance — so the flow times
+//     the trial on a freshly built session. A rejected move is reverted
+//     and the pre-trial session stays; an accepted one is adopted, the
+//     persistent calibrator is rebound to it, and the dirty set, widened
+//     with the instances whose graph-derived depth or bounding box moved,
+//     drives an exact *incremental* recalibration.
 //
 // Acceptance is also per-transform (Accept over before/after timing
 // snapshots): repair moves demand target-endpoint improvement under a WNS
@@ -78,10 +77,8 @@ type Move interface {
 	// design is bit-identical to its pre-Apply state.
 	Revert(a *Analysis) error
 	// DirtySet returns the instances whose timing changed, the seed for
-	// incremental Result.Update and calibrator recalibration. nil means
-	// the move cannot bound its effect (the session must be rebuilt and
-	// the next calibration run cold); connectivity-preserving moves must
-	// return a non-nil set.
+	// incremental Result.Update and calibrator recalibration. A
+	// connectivity-changing move includes the instances it created.
 	DirtySet() []int
 	// Cost is the move's area delta (positive grows the design).
 	Cost() float64
