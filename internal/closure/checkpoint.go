@@ -3,6 +3,7 @@ package closure
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 
 	"mgba/internal/netio"
 	"mgba/internal/obs"
@@ -33,11 +34,26 @@ type ckptState struct {
 	Degraded     int            `json:"degraded_calibrations"`
 	Checkpoints  int            `json:"checkpoints"`
 	Faults       []string       `json:"faults,omitempty"`
+
+	// CornerWeights holds each extra corner's fitted weights in a
+	// multi-corner run, in corner order; the envelope carries the
+	// selection corner's.
+	CornerWeights [][]float64 `json:"corner_weights,omitempty"`
+	// Skipped lists, ascending, the endpoints the repair pass in progress
+	// gave up on.
+	Skipped []int `json:"skipped,omitempty"`
 }
 
 // restore loads checkpointed flow state and counters into a fresh flow.
 func (f *flow) restore(st *ckptState, weights []float64) {
 	f.weights = weights
+	f.resumeCorners = st.CornerWeights
+	if len(st.Skipped) > 0 {
+		f.skip = make(map[int]bool, len(st.Skipped))
+		for _, fi := range st.Skipped {
+			f.skip[fi] = true
+		}
+	}
 	f.transforms = st.SinceCalib
 	f.recoveryPos = st.RecoveryPos
 	f.finalCalibrated = st.FinalCalibrated
@@ -99,6 +115,15 @@ func (f *flow) restoreKinds(kinds map[string]json.RawMessage) error {
 // snapshot is taken (a failed checkpoint appends to it itself), so the
 // state to be marshalled must not alias the live slice.
 func (f *flow) snapshot() ckptState {
+	var cornerWeights [][]float64
+	for _, cv := range f.cviews {
+		cornerWeights = append(cornerWeights, cv.weights)
+	}
+	var skipped []int
+	for fi := range f.skip {
+		skipped = append(skipped, fi)
+	}
+	sort.Ints(skipped)
 	var kinds map[string]int
 	if len(f.res.Kinds) > 0 {
 		kinds = make(map[string]int, len(f.res.Kinds))
@@ -123,6 +148,8 @@ func (f *flow) snapshot() ckptState {
 		Degraded:        f.res.DegradedCalibrations,
 		Checkpoints:     f.res.Checkpoints + 1,
 		Faults:          append([]string(nil), f.res.Faults...),
+		CornerWeights:   cornerWeights,
+		Skipped:         skipped,
 	}
 }
 

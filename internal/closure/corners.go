@@ -14,6 +14,8 @@ import (
 // repairs against the merged worst-corner slack, and vetoes any transform
 // that regresses a corner's WNS — a move is only accepted when no corner
 // gets worse, so closing the selection corner never reopens another.
+// Checkpoints carry every extra corner's weights, so a resumed run starts
+// with the same views and the same per-corner warm starts.
 
 // cornerView is one extra corner's live timing view inside the flow.
 type cornerView struct {
@@ -58,8 +60,23 @@ func (f *flow) releaseCorners() {
 	f.cviews = nil
 }
 
-// runCornersOn times every corner under its own weights on a trial
-// session (structural moves), without touching the flow's own views.
+// restoreCorners rebuilds a resumed run's extra-corner views from its
+// checkpointed weights: each corner's config from the calibrator, timed
+// under the corner's own weights on the current session.
+func (f *flow) restoreCorners() {
+	cfgs := f.cal.CornerConfigs()
+	for i, w := range f.resumeCorners {
+		f.cviews = append(f.cviews, &cornerView{name: f.opt.Core.Corners[i+1].Name, cfg: cfgs[i+1], weights: w})
+	}
+	for i, r := range f.runCornersOn(f.sess) {
+		f.cviews[i].r = r
+	}
+	f.resumeCorners = nil
+}
+
+// runCornersOn times every corner under its own weights on a session (a
+// structural trial's, or a resumed run's), without touching the flow's
+// own views.
 func (f *flow) runCornersOn(sess *engine.Session) []*sta.Result {
 	if len(f.cviews) == 0 {
 		return nil

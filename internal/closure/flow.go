@@ -65,8 +65,17 @@ type flow struct {
 	cviews    []*cornerView
 	mergedBuf []float64
 
+	// resumeCorners holds a resumed run's checkpointed extra-corner
+	// weights until buildTiming rebuilds the corner views from them.
+	resumeCorners [][]float64
+
 	res        *Result
 	transforms int // transforms since the last recalibration
+
+	// skip marks the endpoints the current repair pass gave up on; nil
+	// between passes. A checkpoint carries it, so a pass resumed mid-way
+	// skips what the interrupted one had given up on.
+	skip map[int]bool
 
 	// Checkpoint/resume bookkeeping.
 	curPhase        phase
@@ -140,9 +149,13 @@ func Run(ctx context.Context, d *netlist.Design, opt Options) (*Result, error) {
 
 // Resume continues an interrupted run from a checkpoint written by a
 // previous Run with Options.CheckpointPath set. The opt passed here
-// controls the continued run and must use the same TimerKind the
-// checkpoint was written under; counters resume from their checkpointed
-// values, so the combined Result matches an uninterrupted run. Both
+// controls the continued run and must use the same TimerKind (and, for a
+// multi-corner run, the same corner count) the checkpoint was written
+// under; counters, the repair pass's skipped endpoints and every
+// corner's weights and timing view are restored, so the combined Result
+// matches an uninterrupted run — unless the kill landed on a
+// recalibration point, whose cancelled calibration fell back to identity
+// weights before the checkpoint was written. Both
 // current (v2) and pre-transform-framework (v1) checkpoints resume; a v1
 // checkpoint carries no per-transform state, so per-kind counts are
 // derived from its counters and stateful transforms start fresh.
@@ -164,6 +177,21 @@ func Resume(ctx context.Context, path string, opt Options) (*Result, error) {
 	if TimerKind(st.Timer) != opt.Timer {
 		return nil, fmt.Errorf("closure: checkpoint was written by the %v flow, options select %v",
 			TimerKind(st.Timer), opt.Timer)
+	}
+	if n := len(st.CornerWeights); n > 0 && n != len(opt.Core.Corners)-1 {
+		return nil, fmt.Errorf("closure: checkpoint carries %d extra corner fits, options name %d corners",
+			n, len(opt.Core.Corners))
+	}
+	for i, w := range st.CornerWeights {
+		if len(w) != len(c.Design.Instances) {
+			return nil, fmt.Errorf("closure: checkpoint corner %d has %d weights for %d instances",
+				i+1, len(w), len(c.Design.Instances))
+		}
+		for _, v := range w {
+			if !(v > 0) || math.IsInf(v, 1) {
+				return nil, fmt.Errorf("closure: checkpoint corner %d has weight %v", i+1, v)
+			}
+		}
 	}
 	return run(ctx, c.Design, opt, &st, c.Weights, c.Kinds)
 }
@@ -312,9 +340,11 @@ func newFlow(ctx context.Context, d *netlist.Design, opt Options) (*flow, error)
 
 // buildTiming builds the timing graph and session of the design the run
 // starts from, and its first timing view: a calibration (a plain analysis
-// under GBA). A resumed mGBA run re-times under its checkpointed weights
-// instead of recalibrating, preserving the calibration cadence of the
-// original run.
+// under GBA). A resumed mGBA run instead restores where the interrupted
+// run stood, preserving its calibration cadence: a calibrator whose every
+// corner is warm-started from the checkpointed fits, the selection view
+// re-timed under its weights, and each extra corner's view re-timed under
+// its own.
 func (f *flow) buildTiming(resumed bool) error {
 	g, err := graph.Build(f.d)
 	if err != nil {
@@ -322,10 +352,29 @@ func (f *flow) buildTiming(resumed bool) error {
 	}
 	f.g, f.sess = g, engine.NewSession(g)
 	if resumed && f.opt.Timer == TimerMGBA && f.weights != nil {
+		if err := f.newCalibrator(); err != nil {
+			return err
+		}
 		f.retire(f.sess.Run(f.weightedConfig()))
+		f.restoreCorners()
 		return nil
 	}
 	return f.calibrate()
+}
+
+// newCalibrator creates the flow's persistent calibrator on the current
+// session. The weights a resumed run carries warm-start its first solve
+// on every corner (the calibrator chains its own thereafter).
+func (f *flow) newCalibrator() error {
+	cal, err := core.NewCalibrator(f.sess, f.opt.STA, f.opt.Core)
+	if err != nil {
+		return err
+	}
+	if f.weights != nil {
+		cal.SetWarmWeights(append([][]float64{f.weights}, f.resumeCorners...)...)
+	}
+	f.cal = cal
+	return nil
 }
 
 // weightedConfig returns the analysis config the flow times under: the
@@ -366,16 +415,9 @@ func (f *flow) calibrate() error {
 	}
 	t0 := time.Now()
 	if f.cal == nil {
-		cal, err := core.NewCalibrator(f.sess, f.opt.STA, f.opt.Core)
-		if err != nil {
+		if err := f.newCalibrator(); err != nil {
 			return err
 		}
-		if f.weights != nil {
-			// The previous weights warm-start the first solve on this
-			// session (the calibrator chains its own thereafter).
-			cal.SetWarmWeights(f.weights)
-		}
-		f.cal = cal
 	} else if f.calStale {
 		if err := f.cal.Rebind(f.sess); err != nil {
 			return err
@@ -459,12 +501,14 @@ func (f *flow) maybeRecalibrate() error {
 // completes (and is kept or reverted whole), so an interrupted design is
 // never left with a half-applied transform.
 func (f *flow) fixViolations() error {
-	skip := make(map[int]bool)
+	if f.skip == nil {
+		f.skip = make(map[int]bool)
+	}
 	for f.res.Transforms < f.opt.MaxTransforms {
 		if f.stopped() {
-			return nil
+			return nil // the checkpoint keeps the pass's skip set
 		}
-		fi := f.sched.Next(f.mergedSlack(), skip)
+		fi := f.sched.Next(f.mergedSlack(), f.skip)
 		if fi < 0 {
 			break // timing closed (or every violator exhausted)
 		}
@@ -476,13 +520,14 @@ func (f *flow) fixViolations() error {
 			return err
 		}
 		if !improved {
-			skip[fi] = true
+			f.skip[fi] = true
 			continue
 		}
 		if err := f.maybeRecalibrate(); err != nil {
 			return err
 		}
 	}
+	f.skip = nil
 	return nil
 }
 

@@ -152,10 +152,25 @@ func (c *Calibrator) Pair() string { return c.pair.Name() }
 // Stats returns the calibrator's work counters.
 func (c *Calibrator) Stats() CalibratorStats { return c.stats }
 
-// SetWarmWeights replaces the per-instance weights seeding the next solve
-// (the closure flow uses it to carry weights across a session rebuild).
-func (c *Calibrator) SetWarmWeights(w []float64) {
-	c.corners[0].warm = append([]float64(nil), w...)
+// SetWarmWeights replaces the per-instance weights seeding each corner's
+// next solve, in corner order (the selection corner first); corners past
+// the given vectors keep theirs. The closure flow uses it to carry a
+// checkpointed run's fits into the resumed run's calibrator.
+func (c *Calibrator) SetWarmWeights(w ...[]float64) {
+	for i, wi := range w[:min(len(w), len(c.corners))] {
+		c.corners[i].warm = append([]float64(nil), wi...)
+	}
+}
+
+// CornerConfigs returns every corner's analysis config in corner order,
+// Weights unset: the configs Model.Corners carries, with the derate
+// tables the calibrator's own runs share.
+func (c *Calibrator) CornerConfigs() []sta.Config {
+	out := make([]sta.Config, len(c.corners))
+	for i, k := range c.corners {
+		out[i] = k.cfg
+	}
+	return out
 }
 
 // Rebind moves the calibrator to a new engine.Session after a structural

@@ -125,3 +125,22 @@ func BenchmarkCRPRCreditReuse(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkFreshSession measures what a structural trial (buffer
+// insertion, retiming) pays before it can judge its move: build the
+// timing graph, build a session, and run the first analysis — which
+// derives the clock state and the leaf-pair CRPR credit matrix — on D8.
+func BenchmarkFreshSession(b *testing.B) {
+	d, _ := benchDesign(b, gen.Suite()[7]) // D8: sea of gates
+	cfg := engine.DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := graph.Build(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := engine.NewSession(g).Run(cfg)
+		_ = r.WNS
+	}
+}

@@ -39,35 +39,47 @@ func seaOfGates() gen.Config {
 	return cfg
 }
 
+// eq is bitwise equality: the engine's outputs are deterministic down to
+// the sign of a zero and the payload of a NaN.
 func eq(a, b float64) bool {
-	return a == b || (math.IsNaN(a) && math.IsNaN(b))
+	return math.Float64bits(a) == math.Float64bits(b)
 }
 
 // requireIdentical asserts exact (bitwise) equality of two analyses of the
-// same design. The parallel schedule writes each slot from already-final
-// inputs, so equality must be exact, not tolerance-based.
+// same design: every per-instance and per-endpoint slice, WNS and TNS. The
+// parallel schedule writes each slot from already-final inputs, and an
+// incremental Update re-derives exactly what a Run would, so equality
+// must be exact, not tolerance-based.
 func requireIdentical(t *testing.T, want, got *engine.Result, label string) {
 	t.Helper()
-	for v := range want.ArrivalOut {
-		if !eq(want.ArrivalOut[v], got.ArrivalOut[v]) {
-			t.Fatalf("%s: instance %d arrival %v != %v", label, v, got.ArrivalOut[v], want.ArrivalOut[v])
-		}
-		if !eq(want.RequiredOut[v], got.RequiredOut[v]) {
-			t.Fatalf("%s: instance %d required %v != %v", label, v, got.RequiredOut[v], want.RequiredOut[v])
-		}
-		if !eq(want.Slew[v], got.Slew[v]) {
-			t.Fatalf("%s: instance %d slew %v != %v", label, v, got.Slew[v], want.Slew[v])
-		}
-		if !eq(want.CellDelay[v], got.CellDelay[v]) {
-			t.Fatalf("%s: instance %d delay %v != %v", label, v, got.CellDelay[v], want.CellDelay[v])
-		}
+	fields := []struct {
+		name      string
+		want, got []float64
+	}{
+		{"nominal delay", want.NominalDelay, got.NominalDelay},
+		{"derate", want.Derate, got.Derate},
+		{"cell delay", want.CellDelay, got.CellDelay},
+		{"wire delay", want.WireDelay, got.WireDelay},
+		{"slew", want.Slew, got.Slew},
+		{"arrival", want.ArrivalOut, got.ArrivalOut},
+		{"required", want.RequiredOut, got.RequiredOut},
+		{"min arrival", want.MinArrival, got.MinArrival},
+		{"clock late", want.ClockLate, got.ClockLate},
+		{"clock early", want.ClockEarly, got.ClockEarly},
+		{"GBA CRPR", want.GBACRPR, got.GBACRPR},
+		{"data at D", want.DataAtD, got.DataAtD},
+		{"min at D", want.MinAtD, got.MinAtD},
+		{"slack", want.Slack, got.Slack},
+		{"hold slack", want.HoldSlack, got.HoldSlack},
 	}
-	for fi := range want.Slack {
-		if !eq(want.Slack[fi], got.Slack[fi]) {
-			t.Fatalf("%s: endpoint %d slack %v != %v", label, fi, got.Slack[fi], want.Slack[fi])
+	for _, sl := range fields {
+		if len(sl.got) != len(sl.want) {
+			t.Fatalf("%s: %s has %d entries, want %d", label, sl.name, len(sl.got), len(sl.want))
 		}
-		if !eq(want.HoldSlack[fi], got.HoldSlack[fi]) {
-			t.Fatalf("%s: endpoint %d hold slack %v != %v", label, fi, got.HoldSlack[fi], want.HoldSlack[fi])
+		for i := range sl.want {
+			if !eq(sl.want[i], sl.got[i]) {
+				t.Fatalf("%s: %s[%d] = %v, want %v", label, sl.name, i, sl.got[i], sl.want[i])
+			}
 		}
 	}
 	if !eq(want.WNS, got.WNS) || !eq(want.TNS, got.TNS) {
@@ -259,23 +271,8 @@ func TestCloneAfterDesignGrowth(t *testing.T) {
 	defer cl.Release()
 	fresh := s.Run(cfg)
 	defer fresh.Release()
-	for _, c := range []struct {
-		label string
-		got   *engine.Result
-	}{{"clone", cl}, {"fresh run", fresh}} {
-		label, got := c.label, c.got
-		requireIdentical(t, r, got, label)
-		if len(got.ArrivalOut) != len(r.ArrivalOut) || len(got.Slack) != len(r.Slack) {
-			t.Fatalf("%s: layout %d/%d instances/endpoints, want %d/%d", label,
-				len(got.ArrivalOut), len(got.Slack), len(r.ArrivalOut), len(r.Slack))
-		}
-		for v := range r.NominalDelay {
-			if !eq(r.NominalDelay[v], got.NominalDelay[v]) || !eq(r.Derate[v], got.Derate[v]) ||
-				!eq(r.WireDelay[v], got.WireDelay[v]) || !eq(r.MinArrival[v], got.MinArrival[v]) {
-				t.Fatalf("%s: instance %d per-run state differs", label, v)
-			}
-		}
-	}
+	requireIdentical(t, r, cl, "clone")
+	requireIdentical(t, r, fresh, "fresh run")
 }
 
 // TestClockStateCachedAcrossRuns checks that the clock insertion delays and

@@ -2,13 +2,18 @@ package engine
 
 import "mgba/internal/obs"
 
-// Engine metrics: full analysis runs, incremental updates, and the two
-// level-parallel sweep timings. All hooks are observation-only — they
-// never change sweep order or worker assignment (inertness contract in
-// package obs).
+// Engine metrics: full analysis runs, incremental updates and their cone
+// sizes, and the two level-parallel sweep timings. All hooks are
+// observation-only — they never change sweep order or worker assignment
+// (inertness contract in package obs).
 var (
 	obsRuns    = obs.NewCounter("engine.runs")
 	obsUpdates = obs.NewCounter("engine.updates")
+
+	// Per Update, added once: instances the forward cone re-evaluated,
+	// and required times the backward sweep re-derived.
+	obsUpdateEvals     = obs.NewCounter("engine.update_evals")
+	obsUpdateRederived = obs.NewCounter("engine.update_rederived")
 
 	obsRunNS      = obs.NewHistogram("engine.run_ns", obs.DurationBuckets)
 	obsForwardNS  = obs.NewHistogram("engine.forward_ns", obs.DurationBuckets)

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"math"
-	"sort"
 
 	"mgba/internal/aocv"
 	"mgba/internal/graph"
@@ -253,31 +252,36 @@ func (r *Result) evalInstance(v int) {
 // from the final instance arrivals. Endpoints are independent, so the scan
 // is partitioned across workers.
 func (r *Result) collectEndpointArrivals() {
-	d := r.G.D
-	r.parallelFor(len(d.FFs), func(lo, hi int) {
+	r.parallelFor(len(r.G.D.FFs), func(lo, hi int) {
 		for fi := lo; fi < hi; fi++ {
-			ffID := d.FFs[fi]
-			maxAt := math.Inf(-1)
-			minAt := math.Inf(1)
-			for _, e := range r.G.Fanin(ffID) {
-				at := r.ArrivalOut[e.From] + r.WireDelay[e.From]
-				if at > maxAt {
-					maxAt = at
-				}
-				mn := r.MinArrival[e.From] + r.WireDelay[e.From]
-				if mn < minAt {
-					minAt = mn
-				}
-			}
-			if len(r.G.Fanin(ffID)) == 0 {
-				r.DataAtD[fi] = math.Inf(-1)
-				r.MinAtD[fi] = math.Inf(1)
-				continue
-			}
-			r.DataAtD[fi] = maxAt
-			r.MinAtD[fi] = minAt
+			r.collectEndpoint(fi)
 		}
 	})
+}
+
+// collectEndpoint refreshes endpoint fi's D-pin arrival window from its
+// drivers' final arrivals.
+func (r *Result) collectEndpoint(fi int) {
+	fanin := r.G.Fanin(r.G.D.FFs[fi])
+	if len(fanin) == 0 {
+		r.DataAtD[fi] = math.Inf(-1)
+		r.MinAtD[fi] = math.Inf(1)
+		return
+	}
+	maxAt := math.Inf(-1)
+	minAt := math.Inf(1)
+	for _, e := range fanin {
+		at := r.ArrivalOut[e.From] + r.WireDelay[e.From]
+		if at > maxAt {
+			maxAt = at
+		}
+		mn := r.MinArrival[e.From] + r.WireDelay[e.From]
+		if mn < minAt {
+			minAt = mn
+		}
+	}
+	r.DataAtD[fi] = maxAt
+	r.MinAtD[fi] = minAt
 }
 
 // endpointRequired returns the setup required time at endpoint fi's D pin:
@@ -316,11 +320,10 @@ func (r *Result) endpointSlacks() {
 }
 
 // backwardAll propagates required times from endpoints toward launch FFs,
-// sweeping the levels in descending order. RequiredOut[v] is the latest
-// time instance v's output may switch without violating any downstream
-// endpoint; every fanout of v sits on a strictly higher level (or is an
-// endpoint FF, whose required time is closed-form), so within a level the
-// instances are again independent.
+// sweeping the levels in descending order. Every fanout of an instance
+// sits on a strictly higher level (or is an endpoint FF, whose required
+// time is closed-form), so within a level the instances are again
+// independent.
 func (r *Result) backwardAll() {
 	s := r.S
 	if r.checkCtx() {
@@ -331,7 +334,6 @@ func (r *Result) backwardAll() {
 			r.RequiredOut[i] = unconstrained
 		}
 	})
-	d := r.G.D
 	for l := len(s.levelOff) - 2; l >= 0; l-- {
 		if r.checkCtx() {
 			return
@@ -340,23 +342,33 @@ func (r *Result) backwardAll() {
 		r.parallelFor(hi-lo, func(a, b int) {
 			for i := lo + a; i < lo+b; i++ {
 				v := int(s.levelOrder[i])
-				req := unconstrained
-				for _, e := range r.G.Fanout(v) {
-					to := d.Instances[e.To]
-					var cand float64
-					if to.IsFF() {
-						cand = r.endpointRequired(r.G.FFIndex(int(e.To))) - r.WireDelay[v]
-					} else {
-						cand = r.RequiredOut[e.To] - r.CellDelay[e.To] - r.WireDelay[v]
-					}
-					if cand < req {
-						req = cand
-					}
-				}
-				r.RequiredOut[v] = req
+				r.RequiredOut[v] = r.requiredAt(v)
 			}
 		})
 	}
+}
+
+// requiredAt derives RequiredOut[v], the latest time instance v's output
+// may switch without violating any downstream endpoint, from its fanouts'
+// final values. It reads nothing else: the required times and cell delays
+// of v's combinational fanouts, v's own wire delay, and the required
+// times of the endpoints v drives. Run and Update both derive required
+// times through it.
+func (r *Result) requiredAt(v int) float64 {
+	g := r.G
+	req := unconstrained
+	for _, e := range g.Fanout(v) {
+		var cand float64
+		if fi := g.FFIndex(int(e.To)); fi >= 0 {
+			cand = r.endpointRequired(fi) - r.WireDelay[v]
+		} else {
+			cand = r.RequiredOut[e.To] - r.CellDelay[e.To] - r.WireDelay[v]
+		}
+		if cand < req {
+			req = cand
+		}
+	}
+	return req
 }
 
 // InstanceSlack returns the slack of the worst path through instance v —
@@ -380,12 +392,27 @@ func (r *Result) ViolatingEndpoints() []int {
 	return out
 }
 
-// Update re-propagates timing after the given instances changed (resize or
-// delay override change). It recomputes the forward cone of the modified
-// set plus the drivers whose load changed (the caller passes those too),
-// then refreshes endpoint slacks and the backward pass. The dirty cone is
-// re-evaluated in topological order via the session's position index, so
-// the cost scales with the cone, not the design.
+// Update re-propagates timing after the given instances changed (resize,
+// delay override or weight change), costing what the change reaches
+// rather than the design:
+//
+//   - Forward, it re-evaluates the modified instances and their data
+//     fan-out cone in topological order, stopping at flip-flops, and
+//     refreshes the D-pin windows of the endpoints that cone feeds.
+//   - Backward, it re-derives RequiredOut for every re-evaluated instance
+//     and each of its fan-in drivers (that covers a moved cell delay, a
+//     moved wire delay and a resized flip-flop's setup time), sweeping
+//     toward the launch flip-flops and going on past an instance only
+//     when the bits of its required time changed.
+//   - Endpoint slacks, WNS and TNS are then refolded over every endpoint,
+//     in the same order as Run.
+//
+// The result is bitwise equal to a fresh Run provided the caller keeps
+// the contract: modified lists every instance whose own delay inputs
+// moved, including the drivers whose load a resize changed, and between
+// Updates the Result's Cfg changes only in Weights and DelayOverride
+// entries of instances listed in modified. Every value Update does not
+// recompute is then a pure function of inputs that kept their bits.
 //
 // Connectivity changes (buffer insertion) invalidate the graph and the
 // session; rebuild with graph.Build and NewSession, and Run again instead.
@@ -394,39 +421,47 @@ func (r *Result) Update(modified []int) {
 		return
 	}
 	tUpd := obs.Clock()
-	defer func() {
-		obsUpdates.Inc()
-		obsUpdateNS.ObserveSince(tUpd)
-	}()
-	d := r.G.D
-	dirty := make(map[int]bool, len(modified))
-	queue := append([]int(nil), modified...)
-	for _, v := range queue {
-		dirty[v] = true
+	s, g := r.S, r.G
+	cs := s.getConeScratch()
+	s.seedCone(cs, modified)
+	evals, rederived := 0, 0
+	w := 0
+	for p := popLow(cs.fwd, &w); p >= 0; p = popLow(cs.fwd, &w) {
+		v := int(g.Topo[p])
+		r.evalInstance(v)
+		evals++
+		s.growCone(cs, v)
+		mark(cs.bwd, int32(p))
+		for _, e := range g.Fanin(v) {
+			mark(cs.bwd, s.topoPos[e.From])
+		}
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, e := range r.G.Fanout(v) {
-			to := int(e.To)
-			if !d.Instances[to].IsFF() && !dirty[to] {
-				dirty[to] = true
-				queue = append(queue, to)
+	for fi, hit := range cs.hit {
+		if hit {
+			r.collectEndpoint(fi)
+		}
+	}
+	w = len(cs.bwd) - 1
+	for p := popHigh(cs.bwd, &w); p >= 0; p = popHigh(cs.bwd, &w) {
+		v := int(g.Topo[p])
+		req := r.requiredAt(v)
+		rederived++
+		if math.Float64bits(req) == math.Float64bits(r.RequiredOut[v]) {
+			continue
+		}
+		r.RequiredOut[v] = req
+		if g.FFIndex(v) < 0 {
+			// A flip-flop's own required time feeds no other: its
+			// fan-in drivers see only its endpoint required time.
+			for _, e := range g.Fanin(v) {
+				mark(cs.bwd, s.topoPos[e.From])
 			}
 		}
 	}
-	// Re-evaluate the dirty cone in global topological order.
-	cone := make([]int, 0, len(dirty))
-	for v := range dirty {
-		if r.S.topoPos[v] >= 0 { // off-DAG instances (clock tree) have no timing
-			cone = append(cone, v)
-		}
-	}
-	sort.Slice(cone, func(i, j int) bool { return r.S.topoPos[cone[i]] < r.S.topoPos[cone[j]] })
-	for _, v := range cone {
-		r.evalInstance(v)
-	}
-	r.collectEndpointArrivals()
-	r.backwardAll()
+	s.putConeScratch(cs)
 	r.endpointSlacks()
+	obsUpdates.Inc()
+	obsUpdateEvals.Add(int64(evals))
+	obsUpdateRederived.Add(int64(rederived))
+	obsUpdateNS.ObserveSince(tUpd)
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 
 	"mgba/internal/aocv"
@@ -252,26 +253,46 @@ func (s *Session) buildClockState(key clockKey) *clockState {
 // late-minus-early spread accumulated on their chains' shared prefix: the
 // common buffers were derated late at the launch chain's depth and early
 // at the capture chain's depth, and the credit undoes exactly that
-// double-counted spread. Precomputing the full matrix here is what lets
-// every later analysis — GBA endpoint credits, PBA per-pair retiming, the
-// whole closure loop — look credits up for free.
+// double-counted spread. A pair's credit depends on the capture leaf only
+// through its chain length and the shared prefix length, so each launch
+// leaf makes its late lookups once and keeps one running prefix sum per
+// distinct capture-chain length; a pair's credit is then one read of that
+// sum at the shared length, the same float operations in the same order
+// as accumulating it pair by pair. Precomputing the full matrix here is
+// what lets every later analysis — GBA endpoint credits, PBA per-pair
+// retiming, the whole closure loop — look credits up for free.
 func (s *Session) buildCredits(cs *clockState, derates *aocv.Set) {
 	d := s.G.D
 	ci := s.G.ClockIndex()
 	nl := len(ci.Chains)
+	// The distinct chain lengths, and each leaf's index among them.
+	var lens []int
+	lenIdx := make([]int, nl)
+	maxLen := 0
+	for leaf, chain := range ci.Chains {
+		j := slices.Index(lens, len(chain))
+		if j < 0 {
+			j = len(lens)
+			lens = append(lens, len(chain))
+		}
+		lenIdx[leaf] = j
+		maxLen = max(maxLen, len(chain))
+	}
+	back := make([]float64, nl*nl)
 	cs.credits = make([][]float64, nl)
-	for leafL := 0; leafL < nl; leafL++ {
-		cs.credits[leafL] = make([]float64, nl)
-		chain := ci.Chains[leafL]
+	// Per-position delay, distance and late factor along the launch chain
+	// are shared by every capture leaf; only the early-derate depth varies.
+	delays := make([]float64, maxLen)
+	dists := make([]float64, maxLen)
+	lateF := make([]float64, maxLen)
+	prefix := make([]float64, len(lens)*(maxLen+1))
+	for leafL, chain := range ci.Chains {
+		n := len(chain)
 		var root *netlist.Instance
-		if len(chain) > 0 {
+		if n > 0 {
 			root = d.Instances[chain[0]]
 		}
-		lateDepth := float64(len(chain))
-		// Per-position delay and distance along the launch chain are shared
-		// by every capture leaf; only the early-derate depth varies.
-		delays := make([]float64, len(chain))
-		dists := make([]float64, len(chain))
+		lateDepth := float64(n)
 		var inSlew float64
 		for k, id := range chain {
 			in := d.Instances[id]
@@ -279,18 +300,25 @@ func (s *Session) buildCredits(cs *clockState, derates *aocv.Set) {
 			delays[k] = in.Cell.Delay(load, inSlew) + d.Nets[in.Output].WireDelay
 			inSlew = in.Cell.OutputSlew(load, inSlew)
 			dists[k] = netlist.Distance(root, in)
+			lateF[k] = derates.Late.Lookup(lateDepth, dists[k])
 		}
-		for leafC := 0; leafC < nl; leafC++ {
-			common := ci.CommonLen(leafL, leafC)
-			earlyDepth := float64(len(ci.Chains[leafC]))
-			var credit float64
-			for k := 0; k < common; k++ {
-				lateF := derates.Late.Lookup(lateDepth, dists[k])
+		// prefix[j*(n+1)+k] is the credit of the first k buffers against a
+		// capture chain of length lens[j]; no pair shares more than
+		// min(n, lens[j]) of them.
+		for j, e := range lens {
+			p := prefix[j*(n+1) : (j+1)*(n+1)]
+			earlyDepth := float64(e)
+			p[0] = 0
+			for k := 0; k < min(n, e); k++ {
 				earlyF := derates.Early.Lookup(earlyDepth, dists[k])
-				credit += delays[k] * (lateF - earlyF)
+				p[k+1] = p[k] + delays[k]*(lateF[k]-earlyF)
 			}
-			cs.credits[leafL][leafC] = credit
 		}
+		row := back[leafL*nl : (leafL+1)*nl : (leafL+1)*nl]
+		for leafC := range row {
+			row[leafC] = prefix[lenIdx[leafC]*(n+1)+ci.CommonLen(leafL, leafC)]
+		}
+		cs.credits[leafL] = row
 	}
 	// Conservative per-endpoint credit: the smallest pair credit over every
 	// launch leaf that can reach the endpoint. This is what industrial GBA
