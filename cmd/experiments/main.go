@@ -5,237 +5,177 @@
 //	experiments -run table3,table4  # specific artifacts
 //	experiments -quick              # scaled-down suite for a fast pass
 //
-// Artifacts: table1, fig2, sec32, fig3, fig4, table2, table3, table4,
-// table5, bench, benchsolver, benchclosure, benchcalibd, benchxstage,
-// benchscale. Output is plain text; -csv writes each table additionally
-// as CSV into the given directory; -json makes the bench artifacts also
-// write their machine-readable results (BENCH_calibration.json,
-// BENCH_solver.json, BENCH_closure.json, BENCH_calibd.json,
-// BENCH_xstage.json, BENCH_scale.json). Artifact paths are probed for
-// writability before any benchmark runs, so an unwritable destination
-// fails immediately instead of after minutes of timing.
+// Artifacts: table1, fig2, sec32, fig3, fig4, table4, table4x, table3,
+// table2, table5, and the bench artifacts benchxstage, benchmcmm and
+// benchscale, which are pure timing and not part of 'all'. Output is plain
+// text; -csv writes each table additionally as CSV into the given
+// directory; -json makes each bench artifact also write its record
+// (BENCH_xstage.json, BENCH_mcmm.json, BENCH_scale.json), one schema for
+// all three. An unknown name fails before anything runs, and artifact
+// paths are probed for writability before any benchmark runs, so an
+// unwritable destination fails immediately instead of after minutes of
+// timing.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"mgba/internal/expt"
 	"mgba/internal/report"
 )
 
+// output is what one artifact regenerates: the text to print, the table
+// -csv writes (none for fig3's histogram), and a bench artifact's record.
+type output struct {
+	text  string
+	table *report.Table
+	bench *expt.BenchFile
+}
+
+func table(t *report.Table) output { return output{text: t.String(), table: t} }
+
+// tableErr adapts the artifacts returning a table and an error.
+func tableErr(fn func(*expt.Env) (*report.Table, error)) func(*expt.Env) (output, error) {
+	return func(e *expt.Env) (output, error) {
+		t, err := fn(e)
+		if err != nil {
+			return output{}, err
+		}
+		return table(t), nil
+	}
+}
+
+// tableRows adapts the artifacts that also return their rows.
+func tableRows[R any](fn func(*expt.Env) (*report.Table, R, error)) func(*expt.Env) (output, error) {
+	return func(e *expt.Env) (output, error) {
+		t, _, err := fn(e)
+		if err != nil {
+			return output{}, err
+		}
+		return table(t), nil
+	}
+}
+
+// bench adapts a bench artifact: its record, rendered by the record's
+// own table.
+func bench(fn func(*expt.Env) (*expt.BenchFile, error)) func(*expt.Env) (output, error) {
+	return func(e *expt.Env) (output, error) {
+		f, err := fn(e)
+		if err != nil {
+			return output{}, err
+		}
+		t := f.Table()
+		return output{text: t.String(), table: t, bench: f}, nil
+	}
+}
+
+// artifacts lists every -run name in the order 'all' runs them; the
+// bench artifacts come last and run only when named.
+var artifacts = []struct {
+	name string
+	run  func(*expt.Env) (output, error)
+}{
+	{"table1", func(e *expt.Env) (output, error) { return table(expt.Table1(e)), nil }},
+	{"fig2", tableErr(expt.Fig2)},
+	{"sec32", tableErr(expt.Sec32)},
+	{"fig3", func(e *expt.Env) (output, error) {
+		s, _, err := expt.Fig3(e)
+		return output{text: s}, err
+	}},
+	{"fig4", tableErr(expt.Fig4)},
+	{"table4", tableRows(expt.Table4)},
+	{"table4x", tableErr(expt.Table4Scaling)},
+	{"table3", tableRows(expt.Table3)},
+	{"table2", tableRows(expt.Table2)},
+	{"table5", tableErr(expt.Table5)},
+	{"benchxstage", bench(expt.BenchXStage)},
+	{"benchmcmm", bench(expt.BenchMCMM)},
+	{"benchscale", bench(expt.BenchScale)},
+}
+
+func isBench(name string) bool { return strings.HasPrefix(name, "bench") }
+
+// artifactPath is where -json writes a bench artifact's record.
+func artifactPath(name string) string {
+	return "BENCH_" + strings.TrimPrefix(name, "bench") + ".json"
+}
+
 func main() {
 	runList := flag.String("run", "all", "comma-separated artifacts to regenerate, or 'all'")
 	quick := flag.Bool("quick", false, "use a scaled-down design suite")
 	csvDir := flag.String("csv", "", "directory to also write tables as CSV")
-	jsonOut := flag.Bool("json", false, "bench artifacts: also write their BENCH_*.json result")
+	jsonOut := flag.Bool("json", false, "bench artifacts: also write their BENCH_*.json record")
 	quiet := flag.Bool("q", false, "suppress progress logging")
 	flag.Parse()
+
+	valid := []string{"all"}
+	for _, a := range artifacts {
+		valid = append(valid, a.name)
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(*runList, ",") {
+		name = strings.TrimSpace(strings.ToLower(name))
+		if !slices.Contains(valid, name) {
+			fail(fmt.Errorf("unknown artifact %q in -run=%q; artifacts: %s", name, *runList, strings.Join(valid, " ")))
+		}
+		want[name] = true
+	}
+
+	// Benchmarks run for minutes; an unwritable artifact destination must
+	// fail before the timing starts, not after it.
+	if *jsonOut {
+		for name := range want {
+			if !isBench(name) {
+				continue
+			}
+			if err := probeWritable(artifactPath(name)); err != nil {
+				fail(fmt.Errorf("artifact %s is not writable: %w", artifactPath(name), err))
+			}
+		}
+	}
 
 	var progress = os.Stderr
 	if *quiet {
 		progress = nil
 	}
 	env := expt.NewEnv(progress, *quick)
-
-	want := map[string]bool{}
-	for _, name := range strings.Split(*runList, ",") {
-		want[strings.TrimSpace(strings.ToLower(name))] = true
-	}
-	all := want["all"]
-	ran := 0
-
-	// Benchmarks run for minutes; an unwritable artifact destination must
-	// fail before the timing starts, not after it.
-	benchArtifacts := map[string]string{
-		"bench":        "BENCH_calibration.json",
-		"benchsolver":  "BENCH_solver.json",
-		"benchclosure": "BENCH_closure.json",
-		"benchcalibd":  "BENCH_calibd.json",
-		"benchxstage":  "BENCH_xstage.json",
-		"benchscale":   "BENCH_scale.json",
-		"benchmcmm":    "BENCH_mcmm.json",
-	}
-	if *jsonOut {
-		for name, path := range benchArtifacts {
-			if !want[name] {
-				continue
-			}
-			if err := probeWritable(path); err != nil {
-				fail(fmt.Errorf("artifact %s is not writable: %w", path, err))
-			}
+	for _, a := range artifacts {
+		if !want[a.name] && !(want["all"] && !isBench(a.name)) {
+			continue
 		}
-	}
-	writeJSON := func(path string, res any) {
-		blob, err := json.MarshalIndent(res, "", "  ")
+		out, err := a.run(env)
 		if err != nil {
 			fail(err)
 		}
-		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-			fail(fmt.Errorf("writing artifact %s: %w", path, err))
-		}
-	}
-
-	emit := func(name string, t *report.Table) {
-		fmt.Println(t.String())
-		if *csvDir != "" {
-			path := filepath.Join(*csvDir, name+".csv")
-			f, err := os.Create(path)
-			if err != nil {
+		fmt.Println(out.text)
+		if *csvDir != "" && out.table != nil {
+			if err := writeCSV(filepath.Join(*csvDir, a.name+".csv"), out.table); err != nil {
 				fail(err)
 			}
-			if err := t.CSV(f); err != nil {
+		}
+		if *jsonOut && out.bench != nil {
+			if err := out.bench.Write(artifactPath(a.name)); err != nil {
 				fail(err)
 			}
-			f.Close()
 		}
-		ran++
 	}
+}
 
-	if all || want["table1"] {
-		emit("table1", expt.Table1(env))
+func writeCSV(path string, t *report.Table) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	if all || want["fig2"] {
-		t, err := expt.Fig2(env)
-		if err != nil {
-			fail(err)
-		}
-		emit("fig2", t)
+	if err := t.CSV(f); err != nil {
+		f.Close()
+		return err
 	}
-	if all || want["sec32"] {
-		t, err := expt.Sec32(env)
-		if err != nil {
-			fail(err)
-		}
-		emit("sec32", t)
-	}
-	if all || want["fig3"] {
-		s, _, err := expt.Fig3(env)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(s)
-		ran++
-	}
-	if all || want["fig4"] {
-		t, err := expt.Fig4(env)
-		if err != nil {
-			fail(err)
-		}
-		emit("fig4", t)
-	}
-	if all || want["table4"] {
-		t, _, err := expt.Table4(env)
-		if err != nil {
-			fail(err)
-		}
-		emit("table4", t)
-	}
-	if all || want["table4x"] {
-		t, err := expt.Table4Scaling(env)
-		if err != nil {
-			fail(err)
-		}
-		emit("table4x", t)
-	}
-	if all || want["table3"] {
-		t, _, err := expt.Table3(env)
-		if err != nil {
-			fail(err)
-		}
-		emit("table3", t)
-	}
-	if all || want["table2"] {
-		t, _, err := expt.Table2(env)
-		if err != nil {
-			fail(err)
-		}
-		emit("table2", t)
-	}
-	if all || want["table5"] {
-		t, err := expt.Table5(env)
-		if err != nil {
-			fail(err)
-		}
-		emit("table5", t)
-	}
-	if want["bench"] { // deliberately not part of 'all': minutes of pure timing
-		t, res, err := expt.BenchCalibration(env)
-		if err != nil {
-			fail(err)
-		}
-		emit("bench", t)
-		if *jsonOut {
-			writeJSON("BENCH_calibration.json", res)
-		}
-	}
-	if want["benchsolver"] { // deliberately not part of 'all': pure timing
-		t, res, err := expt.BenchSolver(env)
-		if err != nil {
-			fail(err)
-		}
-		emit("benchsolver", t)
-		if *jsonOut {
-			writeJSON("BENCH_solver.json", res)
-		}
-	}
-	if want["benchclosure"] { // deliberately not part of 'all': pure timing
-		t, res, err := expt.BenchClosure(env)
-		if err != nil {
-			fail(err)
-		}
-		emit("benchclosure", t)
-		if *jsonOut {
-			writeJSON("BENCH_closure.json", res)
-		}
-	}
-	if want["benchcalibd"] { // deliberately not part of 'all': pure timing
-		t, res, err := expt.BenchCalibd(env)
-		if err != nil {
-			fail(err)
-		}
-		emit("benchcalibd", t)
-		if *jsonOut {
-			writeJSON("BENCH_calibd.json", res)
-		}
-	}
-	if want["benchxstage"] { // deliberately not part of 'all': pure timing
-		t, res, err := expt.BenchXStage(env)
-		if err != nil {
-			fail(err)
-		}
-		emit("benchxstage", t)
-		if *jsonOut {
-			writeJSON("BENCH_xstage.json", res)
-		}
-	}
-	if want["benchscale"] { // deliberately not part of 'all': pure timing
-		t, res, err := expt.BenchScale(env)
-		if err != nil {
-			fail(err)
-		}
-		emit("benchscale", t)
-		if *jsonOut {
-			writeJSON("BENCH_scale.json", res)
-		}
-	}
-	if want["benchmcmm"] { // deliberately not part of 'all': pure timing
-		t, res, err := expt.BenchMCMM(env)
-		if err != nil {
-			fail(err)
-		}
-		emit("benchmcmm", t)
-		if *jsonOut {
-			writeJSON("BENCH_mcmm.json", res)
-		}
-	}
-	if ran == 0 {
-		fail(fmt.Errorf("nothing matched -run=%q; artifacts: table1 fig2 sec32 fig3 fig4 table2 table3 table4 table4x table5 bench benchsolver benchclosure benchcalibd benchxstage benchscale benchmcmm all", *runList))
-	}
+	return f.Close()
 }
 
 // probeWritable verifies the artifact path can be created or truncated

@@ -12,10 +12,7 @@ import (
 
 // ckptState is the flow-progress blob embedded in a netio checkpoint. The
 // design and weights live in the checkpoint envelope; this records where
-// to pick the flow back up and the counters accumulated so far. Kinds
-// (per-transform-kind accepted counts) arrived with checkpoint format v2;
-// a v1 state decodes with nil Kinds and the counts are derived from the
-// historical trio on restore.
+// to pick the flow back up and the counters accumulated so far.
 type ckptState struct {
 	Timer           int  `json:"timer"`
 	Phase           int  `json:"phase"`
@@ -25,9 +22,6 @@ type ckptState struct {
 	FinalCalibrated bool `json:"final_calibrated,omitempty"`
 
 	Transforms   int            `json:"transforms"`
-	Upsized      int            `json:"upsized"`
-	Downsized    int            `json:"downsized"`
-	BuffersAdded int            `json:"buffers_added"`
 	Kinds        map[string]int `json:"kinds,omitempty"`
 	Calibrations int            `json:"calibrations"`
 	Validations  int            `json:"validations"`
@@ -44,7 +38,38 @@ type ckptState struct {
 	Skipped []int `json:"skipped,omitempty"`
 }
 
+// fitState is the calibration state a checkpoint records: the selection
+// corner's weights (the envelope's), every extra corner's, the
+// transforms since that calibration, and whether the final phase's
+// calibration has run.
+type fitState struct {
+	weights         []float64
+	cornerWeights   [][]float64
+	sinceCalib      int
+	finalCalibrated bool
+}
+
+// liveFit is the flow's current calibration state.
+func (f *flow) liveFit() fitState {
+	var cornerWeights [][]float64
+	for _, cv := range f.cviews {
+		cornerWeights = append(cornerWeights, cv.weights)
+	}
+	return fitState{f.weights, cornerWeights, f.transforms, f.finalCalibrated}
+}
+
+// checkpointFit is the calibration state a checkpoint records: the state
+// an owed calibration started from, else the live one.
+func (f *flow) checkpointFit() fitState {
+	if f.owed != nil {
+		return *f.owed
+	}
+	return f.liveFit()
+}
+
 // restore loads checkpointed flow state and counters into a fresh flow.
+// The historical trio on Result is derived from Kinds, which noteKind
+// keeps in lockstep with it.
 func (f *flow) restore(st *ckptState, weights []float64) {
 	f.weights = weights
 	f.resumeCorners = st.CornerWeights
@@ -60,9 +85,6 @@ func (f *flow) restore(st *ckptState, weights []float64) {
 	r := f.res
 	r.Resumed = true
 	r.Transforms = st.Transforms
-	r.Upsized = st.Upsized
-	r.Downsized = st.Downsized
-	r.BuffersAdded = st.BuffersAdded
 	r.Calibrations = st.Calibrations
 	r.Validations = st.Validations
 	r.DegradedCalibrations = st.Degraded
@@ -73,19 +95,8 @@ func (f *flow) restore(st *ckptState, weights []float64) {
 		for k, n := range st.Kinds {
 			r.Kinds[k] = n
 		}
-		return
 	}
-	// v1 checkpoint: the trio is the complete per-kind record.
-	if st.Upsized+st.Downsized+st.BuffersAdded > 0 {
-		r.Kinds = map[string]int{}
-		for k, n := range map[string]int{
-			"upsize": st.Upsized, "downsize": st.Downsized, "buffer": st.BuffersAdded,
-		} {
-			if n > 0 {
-				r.Kinds[k] = n
-			}
-		}
-	}
+	r.Upsized, r.Downsized, r.BuffersAdded = r.Kinds["upsize"], r.Kinds["downsize"], r.Kinds["buffer"]
 }
 
 // restoreKinds hands checkpointed per-transform state blobs back to the
@@ -110,15 +121,12 @@ func (f *flow) restoreKinds(kinds map[string]json.RawMessage) error {
 	return nil
 }
 
-// snapshot builds the serializable flow-progress state of a checkpoint.
-// Faults is copied defensively: f.res.Faults keeps growing after the
-// snapshot is taken (a failed checkpoint appends to it itself), so the
-// state to be marshalled must not alias the live slice.
-func (f *flow) snapshot() ckptState {
-	var cornerWeights [][]float64
-	for _, cv := range f.cviews {
-		cornerWeights = append(cornerWeights, cv.weights)
-	}
+// snapshot builds the serializable flow-progress state of a checkpoint
+// over the given calibration state. Faults is copied defensively:
+// f.res.Faults keeps growing after the snapshot is taken (a failed
+// checkpoint appends to it itself), so the state to be marshalled must
+// not alias the live slice.
+func (f *flow) snapshot(fit fitState) ckptState {
 	var skipped []int
 	for fi := range f.skip {
 		skipped = append(skipped, fi)
@@ -136,19 +144,16 @@ func (f *flow) snapshot() ckptState {
 		Phase:           int(f.curPhase),
 		Round:           f.curRound,
 		RecoveryPos:     f.recoveryPos,
-		SinceCalib:      f.transforms,
-		FinalCalibrated: f.finalCalibrated,
+		SinceCalib:      fit.sinceCalib,
+		FinalCalibrated: fit.finalCalibrated,
 		Transforms:      f.res.Transforms,
-		Upsized:         f.res.Upsized,
-		Downsized:       f.res.Downsized,
-		BuffersAdded:    f.res.BuffersAdded,
 		Kinds:           kinds,
 		Calibrations:    f.res.Calibrations,
 		Validations:     f.res.Validations,
 		Degraded:        f.res.DegradedCalibrations,
 		Checkpoints:     f.res.Checkpoints + 1,
 		Faults:          append([]string(nil), f.res.Faults...),
-		CornerWeights:   cornerWeights,
+		CornerWeights:   fit.cornerWeights,
 		Skipped:         skipped,
 	}
 }
@@ -185,12 +190,13 @@ func (f *flow) checkpoint() {
 	if f.opt.CheckpointPath == "" {
 		return
 	}
-	st := f.snapshot()
+	fit := f.checkpointFit()
+	st := f.snapshot(fit)
 	blob, err := json.Marshal(&st)
 	if err == nil {
 		err = netio.SaveCheckpointFile(f.opt.CheckpointPath, &netio.Checkpoint{
 			Design:  f.d,
-			Weights: f.weights,
+			Weights: fit.weights,
 			State:   blob,
 			Kinds:   f.kindBlobs(),
 		})

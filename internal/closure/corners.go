@@ -32,11 +32,6 @@ type CornerQoR struct {
 	TNS  float64 `json:"tns"`
 }
 
-// cornersActive reports whether the flow maintains extra corner views.
-func (f *flow) cornersActive() bool {
-	return f.opt.Timer == TimerMGBA && len(f.opt.Core.Corners) > 1
-}
-
 // adoptCorners takes over the extra corners' fitted views from a fresh
 // calibration, releasing the previous generation's buffers.
 func (f *flow) adoptCorners(model *core.Model) {

@@ -11,13 +11,15 @@ import (
 	"mgba/internal/transform"
 )
 
-// TestStructuralTrialKeepsCornerWeights: without JointFit every extra
-// corner carries its own fitted weights, and its live view is timed under
-// them. After each accepted structural trial, every extra view the flow
-// adopted must equal, bit for bit, a fresh run of its corner config under
-// its own weights on the adopted session. D1 rather than a hand-built
-// fixture: the fixtures' fits are the identity at every corner, which
-// would hide a view timed under another corner's weights.
+// TestStructuralTrialKeepsCornerWeights: without JointFit every corner
+// carries its own fitted weights and config, and its live view is timed
+// under them. After each accepted structural trial, every view the flow
+// adopted — the selection corner's and each extra corner's — must equal,
+// bit for bit, a fresh run of its corner config under its own weights on
+// the adopted session. The selection corner is not the identity, so a
+// trial timed under the base config cannot pass. D1 rather than a
+// hand-built fixture: the fixtures' fits are the identity at every
+// corner, which would hide a view timed under another corner's weights.
 func TestStructuralTrialKeepsCornerWeights(t *testing.T) {
 	d, err := gen.Generate(gen.Suite()[0])
 	if err != nil {
@@ -25,7 +27,7 @@ func TestStructuralTrialKeepsCornerWeights(t *testing.T) {
 	}
 	opt := DefaultOptions(TimerMGBA)
 	opt.Transforms = []string{"upsize", "buffer", "retime"}
-	if opt.Core.Corners, err = core.ParseCorners("typ,slow:1.15:10"); err != nil {
+	if opt.Core.Corners, err = core.ParseCorners("slow:1.15:10,typ"); err != nil {
 		t.Fatal(err)
 	}
 	f, err := newFlow(context.Background(), d, opt)
@@ -62,6 +64,13 @@ func TestStructuralTrialKeepsCornerWeights(t *testing.T) {
 					continue
 				}
 				accepted[tr.Kind()]++
+				sel := f.cal.CornerConfigs()[0]
+				sel.Weights = f.weights
+				fresh := f.sess.Run(sel)
+				if !sameResult(f.r, fresh) {
+					t.Fatalf("selection corner after an accepted %s: view differs from a fresh run under its config", tr.Kind())
+				}
+				fresh.Release()
 				for _, cv := range f.cviews {
 					cfg := cv.cfg
 					cfg.Weights = cv.weights

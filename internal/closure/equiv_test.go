@@ -130,13 +130,11 @@ func hashWeights(ws []float64) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// ckptCounters is the subset of the flow-state blob whose field names are
-// stable across checkpoint format versions.
+// ckptCounters is the subset of the flow-state blob the golden pins: the
+// transform total and the per-kind counts the golden's trio is read from.
 type ckptCounters struct {
-	Transforms   int `json:"transforms"`
-	Upsized      int `json:"upsized"`
-	Downsized    int `json:"downsized"`
-	BuffersAdded int `json:"buffers_added"`
+	Transforms int            `json:"transforms"`
+	Kinds      map[string]int `json:"kinds"`
 }
 
 func goldenD3Run(t *testing.T, timer closure.TimerKind, par int, design string) goldenRun {
@@ -178,9 +176,9 @@ func goldenD3Run(t *testing.T, timer closure.TimerKind, par int, design string) 
 		}
 		ckpts = append(ckpts, goldenCkpt{
 			Transforms:   st.Transforms,
-			Upsized:      st.Upsized,
-			Downsized:    st.Downsized,
-			BuffersAdded: st.BuffersAdded,
+			Upsized:      st.Kinds["upsize"],
+			Downsized:    st.Kinds["downsize"],
+			BuffersAdded: st.Kinds["buffer"],
 			DesignHash:   hashDesign(c.Design),
 			WeightsHash:  hashWeights(c.Weights),
 		})

@@ -47,6 +47,10 @@ type flow struct {
 	sess    *engine.Session
 	r       *sta.Result
 	weights []float64 // nil for GBA
+	// selCfg is the selection corner's analysis config, Weights unset:
+	// the config the calibrator times the flow's view under (corner 0's
+	// derates and uncertainty), recorded when the calibrator is created.
+	selCfg sta.Config
 
 	// cal is the persistent mGBA calibrator; nil until the first
 	// calibration. calStale marks it as bound to a session an accepted
@@ -71,6 +75,12 @@ type flow struct {
 
 	res        *Result
 	transforms int // transforms since the last recalibration
+
+	// owed is set when cancellation cut a calibration short: the flow
+	// keeps reporting the identity view the calibration fell back to, but
+	// checkpoints record the fit state the calibration started from, so a
+	// resumed run redoes it instead of adopting the fallback.
+	owed *fitState
 
 	// skip marks the endpoints the current repair pass gave up on; nil
 	// between passes. A checkpoint carries it, so a pass resumed mid-way
@@ -153,12 +163,9 @@ func Run(ctx context.Context, d *netlist.Design, opt Options) (*Result, error) {
 // multi-corner run, the same corner count) the checkpoint was written
 // under; counters, the repair pass's skipped endpoints and every
 // corner's weights and timing view are restored, so the combined Result
-// matches an uninterrupted run — unless the kill landed on a
-// recalibration point, whose cancelled calibration fell back to identity
-// weights before the checkpoint was written. Both
-// current (v2) and pre-transform-framework (v1) checkpoints resume; a v1
-// checkpoint carries no per-transform state, so per-kind counts are
-// derived from its counters and stateful transforms start fresh.
+// matches an uninterrupted run. A calibration the interrupted run owed —
+// including one its cancellation cut short — is redone before the first
+// transform.
 func Resume(ctx context.Context, path string, opt Options) (*Result, error) {
 	c, err := netio.LoadCheckpointFile(path)
 	if err != nil {
@@ -344,7 +351,8 @@ func newFlow(ctx context.Context, d *netlist.Design, opt Options) (*flow, error)
 // run stood, preserving its calibration cadence: a calibrator whose every
 // corner is warm-started from the checkpointed fits, the selection view
 // re-timed under its weights, and each extra corner's view re-timed under
-// its own.
+// its own. A calibration the checkpoint's cadence says is due runs
+// before anything else.
 func (f *flow) buildTiming(resumed bool) error {
 	g, err := graph.Build(f.d)
 	if err != nil {
@@ -357,7 +365,7 @@ func (f *flow) buildTiming(resumed bool) error {
 		}
 		f.retire(f.sess.Run(f.weightedConfig()))
 		f.restoreCorners()
-		return nil
+		return f.maybeRecalibrate()
 	}
 	return f.calibrate()
 }
@@ -374,18 +382,21 @@ func (f *flow) newCalibrator() error {
 		cal.SetWarmWeights(append([][]float64{f.weights}, f.resumeCorners...)...)
 	}
 	f.cal = cal
+	f.selCfg = cal.CornerConfigs()[0]
 	return nil
 }
 
 // weightedConfig returns the analysis config the flow times under: the
-// current mGBA weights, padded with 1 for instances created since the last
-// calibration, or none under GBA.
+// selection corner's config under the current mGBA weights, padded with 1
+// for instances created since the last calibration, or the plain config
+// under GBA.
 func (f *flow) weightedConfig() sta.Config {
-	cfg := f.opt.STA
-	if f.opt.Timer == TimerMGBA && f.weights != nil {
-		f.weights = padWeights(f.weights, len(f.d.Instances))
-		cfg.Weights = f.weights
+	if f.opt.Timer != TimerMGBA || f.weights == nil {
+		return f.opt.STA
 	}
+	f.weights = padWeights(f.weights, len(f.d.Instances))
+	cfg := f.selCfg
+	cfg.Weights = f.weights
 	return cfg
 }
 
@@ -424,6 +435,7 @@ func (f *flow) calibrate() error {
 		}
 	}
 	f.calStale = false
+	start := f.liveFit()
 	var model *core.Model
 	var err error
 	if f.opt.ColdRecalibrate {
@@ -443,6 +455,10 @@ func (f *flow) calibrate() error {
 	if model.Fault != "" {
 		f.res.Faults = append(f.res.Faults,
 			fmt.Sprintf("calibration %d: %s", f.res.Calibrations, model.Fault))
+	}
+	f.owed = nil
+	if model.Partial {
+		f.owed = &start
 	}
 	f.weights = model.Weights
 	f.retire(model.MGBA)

@@ -15,18 +15,24 @@ import (
 	"mgba/internal/netlist"
 )
 
-// multiCornerResumeOptions is a two-corner D3 closure that recalibrates
-// and checkpoints often enough for a kill to land between calibrations.
+// resumeOptions is a D3 closure that recalibrates and checkpoints often
+// enough for a kill to land between calibrations and on them.
+func resumeOptions() closure.Options {
+	opt := closure.DefaultOptions(closure.TimerMGBA)
+	opt.RecalibrateEvery = 25
+	opt.CheckpointEvery = 20
+	return opt
+}
+
+// multiCornerResumeOptions is resumeOptions over two corners.
 func multiCornerResumeOptions(t *testing.T, joint bool) closure.Options {
 	t.Helper()
-	opt := closure.DefaultOptions(closure.TimerMGBA)
+	opt := resumeOptions()
 	var err error
 	if opt.Core.Corners, err = core.ParseCorners("typ,slow:1.15:10"); err != nil {
 		t.Fatal(err)
 	}
 	opt.Core.JointFit = joint
-	opt.RecalibrateEvery = 25
-	opt.CheckpointEvery = 20
 	return opt
 }
 
@@ -40,12 +46,16 @@ func d3(t *testing.T) *netlist.Design {
 }
 
 // runKilledAndResumed runs the flow, cancels it at the kill-th checkpoint
-// and resumes it from the exit checkpoint until it completes.
+// (before it starts for kill 0) and resumes it from the exit checkpoint
+// until it completes.
 func runKilledAndResumed(t *testing.T, opt closure.Options, kill int) *closure.Result {
 	t.Helper()
 	opt.CheckpointPath = filepath.Join(t.TempDir(), "ckpt.json")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	if kill == 0 {
+		cancel()
+	}
 	ckpts := 0
 	opt.OnCheckpoint = func(string) {
 		if ckpts++; ckpts == kill {
@@ -92,37 +102,44 @@ func resumeDiff(ref, res *closure.Result) string {
 	return ""
 }
 
-// TestMultiCornerResumeMatchesUninterrupted: a multi-corner run killed at
-// a checkpoint and resumed must end where the uninterrupted run ends —
-// transforms, area, timer WNS/TNS and every corner's WNS/TNS. The
-// uninterrupted run advances its corner views by incremental updates
-// between calibrations, the resumed one rebuilds them with full runs, so
-// this also pins Update == Run inside the flow. The kill points include
-// ones where the interrupted repair pass had already given up on some
-// endpoints (10, and 8 under JointFit), which the resumed pass must skip
-// too.
+// TestMultiCornerResumeMatchesUninterrupted: a run killed at a checkpoint
+// and resumed must end where the uninterrupted run ends — transforms,
+// area, timer WNS/TNS and every corner's WNS/TNS. The uninterrupted run
+// advances its corner views by incremental updates between calibrations,
+// the resumed one rebuilds them with full runs, so this also pins
+// Update == Run inside the flow. The kill points include ones where the
+// interrupted repair pass had already given up on some endpoints (10, and
+// 8 under JointFit), which the resumed pass must skip too, and ones that
+// land on a calibration point (6 and 14), whose cancelled calibration the
+// resumed run must redo. The single-corner legs cover the same kill at 6
+// and a run cancelled before it starts.
 func TestMultiCornerResumeMatchesUninterrupted(t *testing.T) {
 	if testing.Short() {
-		t.Skip("eight D3 multi-corner closure runs and their resumes")
+		t.Skip("fourteen D3 closure runs and their resumes")
 	}
 	for _, c := range []struct {
-		joint bool
-		kills []int
+		corners int
+		joint   bool
+		kills   []int
 	}{
-		{false, []int{1, 2, 3, 5, 10}},
-		{true, []int{8}},
+		{2, false, []int{1, 2, 3, 5, 6, 10, 14}},
+		{2, true, []int{6, 8, 14}},
+		{1, false, []int{0, 6}},
 	} {
-		opt := multiCornerResumeOptions(t, c.joint)
+		opt := resumeOptions()
+		if c.corners > 1 {
+			opt = multiCornerResumeOptions(t, c.joint)
+		}
 		ref, err := closure.Run(context.Background(), d3(t), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ref.Corners) != 1 {
-			t.Fatalf("%d extra corners reported, want 1", len(ref.Corners))
+		if len(ref.Corners) != c.corners-1 {
+			t.Fatalf("%d extra corners reported, want %d", len(ref.Corners), c.corners-1)
 		}
 		for _, kill := range c.kills {
 			if diff := resumeDiff(ref, runKilledAndResumed(t, opt, kill)); diff != "" {
-				t.Errorf("JointFit %v, killed at checkpoint %d: %s", c.joint, kill, diff)
+				t.Errorf("%d corners, JointFit %v, killed at checkpoint %d: %s", c.corners, c.joint, kill, diff)
 			}
 		}
 	}

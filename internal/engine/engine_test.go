@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"context"
 	"math"
 	"sync"
 	"testing"
@@ -378,39 +377,4 @@ func TestConcurrentRuns(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// TestRunCtx covers the cancellation contract: a live context produces a
-// result identical to Run's, a cancelled one aborts cleanly and returns
-// the scratch buffers to the pool.
-func TestRunCtx(t *testing.T) {
-	_, g := buildDesign(t, gen.Toy())
-	s := engine.NewSession(g)
-	cfg := engine.DefaultConfig()
-
-	want := s.Run(cfg)
-	got, err := s.RunCtx(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, want, got, "RunCtx vs Run")
-	want.Release()
-	got.Release()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	r, err := s.RunCtx(ctx, cfg)
-	if err == nil || r != nil {
-		t.Fatalf("cancelled RunCtx = (%v, %v), want (nil, error)", r, err)
-	}
-	// The aborted run must have returned its scratch to the pool: the next
-	// run must still produce a complete, correct analysis.
-	again, err := s.RunCtx(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := engine.NewSession(g).Run(cfg)
-	requireIdentical(t, fresh, again, "post-abort run")
-	again.Release()
-	fresh.Release()
 }

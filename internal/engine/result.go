@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"math"
 
 	"mgba/internal/aocv"
@@ -46,27 +45,6 @@ type Result struct {
 	cs  *clockState
 	sc  *scratch
 	par int // resolved worker count
-
-	ctx     context.Context // non-nil only during a RunCtx propagation
-	aborted bool            // a sweep observed ctx cancellation
-}
-
-// checkCtx polls the run's context between propagation levels; once it
-// fires, the remaining sweeps are skipped and run() abandons the Result.
-func (r *Result) checkCtx() bool {
-	if r.aborted {
-		return true
-	}
-	if r.ctx == nil {
-		return false
-	}
-	select {
-	case <-r.ctx.Done():
-		r.aborted = true
-		return true
-	default:
-		return false
-	}
 }
 
 // Release returns the Result's per-run buffers to the session pool so the
@@ -176,18 +154,12 @@ func (r *Result) nominalDelay(v int, inSlew float64) float64 {
 func (r *Result) forwardAll() {
 	s := r.S
 	for l := 0; l+1 < len(s.levelOff); l++ {
-		if r.checkCtx() {
-			return
-		}
 		lo, hi := s.levelOff[l], s.levelOff[l+1]
 		r.parallelFor(hi-lo, func(a, b int) {
 			for i := lo + a; i < lo+b; i++ {
 				r.evalInstance(int(s.levelOrder[i]))
 			}
 		})
-	}
-	if r.checkCtx() {
-		return
 	}
 	r.collectEndpointArrivals()
 }
@@ -326,18 +298,12 @@ func (r *Result) endpointSlacks() {
 // independent.
 func (r *Result) backwardAll() {
 	s := r.S
-	if r.checkCtx() {
-		return
-	}
 	r.parallelFor(len(r.RequiredOut), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r.RequiredOut[i] = unconstrained
 		}
 	})
 	for l := len(s.levelOff) - 2; l >= 0; l-- {
-		if r.checkCtx() {
-			return
-		}
 		lo, hi := s.levelOff[l], s.levelOff[l+1]
 		r.parallelFor(hi-lo, func(a, b int) {
 			for i := lo + a; i < lo+b; i++ {

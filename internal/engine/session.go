@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"math"
 	"slices"
 	"sync"
@@ -402,27 +401,6 @@ func (s *Session) getScratch() *scratch {
 // per-run buffers from the session pool. Release the returned Result when
 // it is no longer needed to make the next Run allocation-free.
 func (s *Session) Run(cfg Config) *Result {
-	r, _ := s.run(nil, cfg)
-	return r
-}
-
-// RunCtx is Run with cooperative cancellation: the propagation sweeps
-// check ctx between levels and abandon the run (returning nil and
-// ctx.Err(), with the scratch buffers already back in the pool) when it
-// is done. A completed analysis is never partially filled: RunCtx either
-// returns a full Result or an error.
-func (s *Session) RunCtx(ctx context.Context, cfg Config) (*Result, error) {
-	if ctx != nil {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		default:
-		}
-	}
-	return s.run(ctx, cfg)
-}
-
-func (s *Session) run(ctx context.Context, cfg Config) (*Result, error) {
 	tRun := obs.Clock()
 	cs := s.clockState(cfg)
 	sc := s.getScratch()
@@ -454,7 +432,6 @@ func (s *Session) run(ctx context.Context, cfg Config) (*Result, error) {
 		cs:  cs,
 		sc:  sc,
 		par: workers(cfg.Parallelism),
-		ctx: ctx,
 	}
 	tFwd := obs.Clock()
 	r.forwardAll()
@@ -462,13 +439,8 @@ func (s *Session) run(ctx context.Context, cfg Config) (*Result, error) {
 	tBwd := obs.Clock()
 	r.backwardAll()
 	obsBackwardNS.ObserveSince(tBwd)
-	if r.aborted {
-		r.Release()
-		return nil, ctx.Err()
-	}
-	r.ctx = nil // cancellation applies to this run only, not later Updates
 	r.endpointSlacks()
 	obsRuns.Inc()
 	obsRunNS.ObserveSince(tRun)
-	return r, nil
+	return r
 }

@@ -3,42 +3,12 @@ package expt
 import (
 	"context"
 	"fmt"
-	"testing"
+	"strings"
 
 	"mgba/internal/core"
 	"mgba/internal/engine"
-	"mgba/internal/gen"
-	"mgba/internal/graph"
-	"mgba/internal/report"
 	"mgba/internal/sta"
 )
-
-// MCMMSetBench is one row of the multi-corner benchmark: the same corner
-// set calibrated the shared way (one enumeration feeding every corner's
-// fit) and the naive way (one full single-corner calibration per corner).
-type MCMMSetBench struct {
-	Corners         []string `json:"corners"`
-	SharedNsOp      int64    `json:"shared_ns_per_op"`
-	IndependentNsOp int64    `json:"independent_ns_per_op"`
-	Speedup         float64  `json:"speedup"`
-
-	Paths       int     `json:"paths"`
-	WorstWNS    float64 `json:"worst_wns_ps"`
-	MaxOptimism int     `json:"max_corner_optimism"`
-}
-
-// MCMMBench backs the BENCH_mcmm.json artifact: shared-enumeration
-// multi-corner calibration against N independent cold calibrations on the
-// D3 stand-in, at N = 1, 2 and 4 corners. The speedup at N >= 2 is the
-// framework's amortization claim made a tracked number; the per-corner
-// optimism column pins the Eq. (5) guard at every N.
-type MCMMBench struct {
-	Design string         `json:"design"`
-	Gates  int            `json:"gates"`
-	Sets   []MCMMSetBench `json:"sets"`
-
-	Mem MemStats `json:"mem"`
-}
 
 // mcmmCornerSets are the benchmark's corner sets: the base corner alone
 // (the single-corner pipeline), plus margin-scaled/uncertainty-shifted
@@ -55,149 +25,109 @@ func mcmmCornerSets() [][]core.CornerSpec {
 	}
 }
 
-// releaseMCMM returns a model's caller-owned analyses to the session pool
-// (the baseline GBA stays with the calibrator, which advances it).
-func releaseMCMM(m *core.Model) {
-	if m == nil {
-		return
+// coldCalibrator is a persistent calibrator over set whose every
+// Calibrate is a genuinely cold pipeline: no warm start on any corner, no
+// cache. Strict safety is forced at N >= 2 anyway; pinning it keeps the
+// N=1 set and the independent arm fitting the same (never-optimistic)
+// way.
+func coldCalibrator(sess *engine.Session, set []core.CornerSpec) (func() (*core.Model, error), error) {
+	opt := core.DefaultOptions()
+	opt.Corners = set
+	opt.StrictSafety = true
+	cal, err := core.NewCalibrator(sess, sta.DefaultConfig(), opt)
+	if err != nil {
+		return nil, err
 	}
-	for _, cf := range m.Corners {
-		// Corners[0] mirrors the model's own MGBA; extra corners own theirs.
-		if cf != nil && cf.MGBA != nil && cf.MGBA != m.MGBA && cf.MGBA != m.GBA {
-			cf.MGBA.Release()
-		}
-	}
-	if m.MGBA != nil && m.MGBA != m.GBA {
-		m.MGBA.Release()
-	}
+	noWarm := make([][]float64, len(set))
+	return func() (*core.Model, error) {
+		cal.SetWarmWeights(noWarm...)
+		cal.Invalidate()
+		return cal.Calibrate(context.Background())
+	}, nil
 }
 
-// BenchMCMM times shared-enumeration multi-corner calibration against N
-// independent single-corner calibrations of the same corners, on the D3
-// stand-in. Both arms run persistent calibrators with the warm start reset
-// each iteration, so every measured pass is a genuinely cold pipeline.
-func BenchMCMM(e *Env) (*report.Table, *MCMMBench, error) {
-	cfg := gen.Suite()[2] // D3
-	if e.Quick {
-		cfg.Gates, cfg.FFs = cfg.Gates/4, cfg.FFs/4
-	}
-	d, err := gen.Generate(cfg)
+// BenchMCMM times shared-enumeration multi-corner calibration (one path
+// enumeration on the selection corner feeding every corner's Eq. (9) fit)
+// against N independent single-corner cold calibrations of the same
+// corners, each paying its own enumeration and golden retiming, on the D3
+// stand-in at N = 1, 2 and 4 (BENCH_mcmm.json). The shared row records
+// the speedup and the worst corner's optimism, which must be 0.
+func BenchMCMM(e *Env) (*BenchFile, error) {
+	name, g, err := benchDesign(e)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	g, err := graph.Build(d)
-	if err != nil {
-		return nil, nil, err
-	}
-	ctx := context.Background()
-	res := &MCMMBench{Design: cfg.Name, Gates: len(d.Instances)}
-
+	f := newBenchFile(e, "benchmcmm")
 	for _, set := range mcmmCornerSets() {
-		names := core.CornerNames(set)
-		e.logf("benchmcmm: %d corners (%v) on %s: shared enumeration...\n", len(set), names, cfg.Name)
-
-		// Shared arm: one calibrator carrying the whole corner set.
-		sharedSess := engine.NewSession(g)
-		sharedOpt := core.DefaultOptions()
-		sharedOpt.Corners = set
-		// Forced on at N >= 2 anyway; pinning it here keeps the N=1 row and
-		// the independent arm fitting the same (never-optimistic) way.
-		sharedOpt.StrictSafety = true
-		sharedCal, err := core.NewCalibrator(sharedSess, sta.DefaultConfig(), sharedOpt)
+		names := strings.Join(core.CornerNames(set), "+")
+		e.logf("benchmcmm: %s on %s: shared enumeration...\n", names, name)
+		shared, err := coldCalibrator(engine.NewSession(g), set)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		var last *core.Model
-		sharedBr := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sharedCal.SetWarmWeights(nil)
-				sharedCal.Invalidate()
-				m, err := sharedCal.Calibrate(ctx)
-				if err != nil {
-					b.Fatal(err)
-				}
-				releaseMCMM(last)
+		sharedRow, err := measure(name+" "+names+" shared", "core.calibrate", func() error {
+			m, err := shared()
+			if err == nil {
+				release(last)
 				last = m
 			}
+			return err
 		})
-		if last == nil {
-			return nil, nil, fmt.Errorf("expt: benchmcmm produced no model for %v", names)
+		if err != nil {
+			return nil, err
 		}
 
-		e.logf("benchmcmm: %d corners: independent calibrations...\n", len(set))
-		// Independent arm: one single-corner calibrator per corner, each
-		// paying its own enumeration.
-		cals := make([]*core.Calibrator, len(set))
+		e.logf("benchmcmm: %s: independent calibrations...\n", names)
+		indep := make([]func() (*core.Model, error), len(set))
 		for i, spec := range set {
-			opt := core.DefaultOptions()
-			opt.Corners = []core.CornerSpec{spec}
-			opt.StrictSafety = true
-			sess := engine.NewSession(g)
-			if cals[i], err = core.NewCalibrator(sess, sta.DefaultConfig(), opt); err != nil {
-				return nil, nil, err
+			if indep[i], err = coldCalibrator(engine.NewSession(g), []core.CornerSpec{spec}); err != nil {
+				return nil, err
 			}
 		}
-		indepBr := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, cal := range cals {
-					cal.SetWarmWeights(nil)
-					cal.Invalidate()
-					m, err := cal.Calibrate(ctx)
-					if err != nil {
-						b.Fatal(err)
-					}
-					releaseMCMM(m)
+		indepRow, err := measure(name+" "+names+" independent", "core.calibrate", func() error {
+			for _, cal := range indep {
+				m, err := cal()
+				if err != nil {
+					return err
 				}
+				release(m)
 			}
+			return nil
 		})
+		if err != nil {
+			return nil, err
+		}
 
-		maxOpt := 0
-		if len(last.Corners) == 0 {
-			m, err := last.Evaluate("mgba")
-			if err != nil {
-				return nil, nil, err
-			}
-			maxOpt = m.Optimism
+		// A one-corner model carries no per-corner fits: its own mGBA view
+		// is the corner's.
+		mm, err := last.Evaluate("mgba")
+		if err != nil {
+			return nil, err
 		}
-		for _, cf := range last.Corners {
-			cm, err := cf.Evaluate("mgba", sharedOpt.Epsilon)
-			if err != nil {
-				return nil, nil, err
-			}
-			if cm.Optimism > maxOpt {
-				maxOpt = cm.Optimism
-			}
-		}
-		worst := last.MGBA.WNS
+		maxOpt, worst := mm.Optimism, last.MGBA.WNS
 		if last.WorstSlack != nil {
 			worst = last.WorstWNS
 		}
-		res.Sets = append(res.Sets, MCMMSetBench{
-			Corners:         names,
-			SharedNsOp:      sharedBr.NsPerOp(),
-			IndependentNsOp: indepBr.NsPerOp(),
-			Speedup:         float64(indepBr.NsPerOp()) / float64(sharedBr.NsPerOp()),
-			Paths:           len(last.Selection.Paths),
-			WorstWNS:        worst,
-			MaxOptimism:     maxOpt,
-		})
-		releaseMCMM(last)
+		for _, cf := range last.Corners {
+			cm, err := cf.Evaluate("mgba", last.Opt.Epsilon)
+			if err != nil {
+				return nil, err
+			}
+			maxOpt = max(maxOpt, cm.Optimism)
+		}
+		if maxOpt > 0 {
+			return nil, fmt.Errorf("expt: benchmcmm %s: a corner's fit is optimistic on %d paths", names, maxOpt)
+		}
+		sharedRow.Values = map[string]float64{
+			"corners":             float64(len(set)),
+			"paths":               float64(len(last.Selection.Paths)),
+			"worst_wns_ps":        worst,
+			"max_corner_optimism": float64(maxOpt),
+			"speedup":             float64(indepRow.NsPerOp) / float64(sharedRow.NsPerOp),
+		}
+		release(last)
+		f.Rows = append(f.Rows, sharedRow, indepRow)
 	}
-
-	t := report.New(fmt.Sprintf("Multi-corner calibration: shared enumeration vs independent (%s, %d gates)", res.Design, res.Gates),
-		"corners", "shared ns/op", "independent ns/op", "speedup", "paths", "worst WNS", "max optimism")
-	for _, s := range res.Sets {
-		t.AddRow(fmt.Sprintf("%d", len(s.Corners)),
-			fmt.Sprintf("%d", s.SharedNsOp),
-			fmt.Sprintf("%d", s.IndependentNsOp),
-			report.F(s.Speedup, 2)+"x",
-			fmt.Sprintf("%d", s.Paths),
-			report.F(s.WorstWNS, 1),
-			fmt.Sprintf("%d", s.MaxOptimism))
-	}
-	t.AddNote("shared: one path enumeration on the selection corner feeds every corner's Eq. (9) fit")
-	t.AddNote("independent: each corner pays its own enumeration and golden retiming (N separate cold calibrations)")
-	t.AddNote("max optimism counts model-beats-golden paths beyond the eps guard, worst corner — must be 0")
-	res.Mem = CaptureMem()
-	return t, res, nil
+	return f, nil
 }

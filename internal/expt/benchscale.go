@@ -4,108 +4,67 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"time"
 
 	"mgba/internal/core"
 	"mgba/internal/gen"
 	"mgba/internal/graph"
+	"mgba/internal/netlist"
 	"mgba/internal/pathsel"
 	"mgba/internal/pba"
-	"mgba/internal/report"
 	"mgba/internal/sta"
 )
-
-// ScaleBench backs the BENCH_scale.json artifact: one streamed cold
-// calibration of the gen.Large design, with the memory footprint of the
-// slab path bank against the pointer-form population it replaces.
-type ScaleBench struct {
-	Design      string `json:"design"`
-	Gates       int    `json:"gates"`
-	FFs         int    `json:"ffs"`
-	Instances   int    `json:"instances"`
-	Edges       int    `json:"edges"`
-	StreamShard int    `json:"stream_shard"`
-
-	Paths   int `json:"paths_enumerated"`
-	Columns int `json:"columns"`
-
-	GenerateWallMs float64 `json:"generate_wall_ms"`
-	GraphWallMs    float64 `json:"graph_wall_ms"`
-	ColdWallMs     float64 `json:"cold_calibration_wall_ms"`
-
-	// Peak heap proxy: HeapAlloc immediately after the streamed cold
-	// calibration returns, before any collection of its garbage.
-	HeapAfterColdBytes uint64 `json:"heap_after_cold_bytes"`
-
-	SlabBytes           int64   `json:"slab_bytes"`
-	SlabBytesPerPath    float64 `json:"slab_bytes_per_path"`
-	PointerBytes        uint64  `json:"pointer_bytes"`
-	PointerBytesPerPath float64 `json:"pointer_bytes_per_path"`
-	SlabReduction       float64 `json:"slab_reduction"` // pointer / slab
-
-	Mem MemStats `json:"mem"`
-}
 
 // BenchScale runs the memory-lean scale pipeline end to end on the
 // 100k-gate gen.Large design (20k in Quick mode): generate, build the CSR
 // graph, stream-calibrate with a bounded endpoint shard, then measure the
-// slab bank's bytes-per-path against a materialized pointer-form
-// enumeration of the identical population.
-func BenchScale(e *Env) (*report.Table, *ScaleBench, error) {
+// slab bank's bytes per path against a materialized pointer-form
+// enumeration of the identical population (BENCH_scale.json). It fails
+// when the two populations differ or the slab saves less than 4x.
+func BenchScale(e *Env) (*BenchFile, error) {
 	gates := 100_000
 	if e.Quick {
 		gates = 20_000
 	}
 	cfg := gen.Large(gates)
+	f := newBenchFile(e, "benchscale")
 	e.logf("benchscale: generating %s (%d gates)...\n", cfg.Name, gates)
-	t0 := time.Now()
-	d, err := gen.Generate(cfg)
+	var d *netlist.Design
+	genRow, err := measure(cfg.Name, "gen.generate", func() (err error) {
+		d, err = gen.Generate(cfg)
+		return err
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	genMs := float64(time.Since(t0).Microseconds()) / 1e3
-	t0 = time.Now()
-	g, err := graph.Build(d)
+	var g *graph.Graph
+	graphRow, err := measure(cfg.Name, "graph.build", func() (err error) {
+		g, err = graph.Build(d)
+		return err
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	graphMs := float64(time.Since(t0).Microseconds()) / 1e3
+	genRow.Values = map[string]float64{"instances": float64(len(d.Instances)), "ffs": float64(len(d.FFs))}
+	graphRow.Values = map[string]float64{"edges": float64(g.NumEdges())}
 
 	opt := core.DefaultOptions()
 	opt.StreamShard = 256
-	scfg := sta.DefaultConfig()
 	e.logf("benchscale: streamed cold calibration (shard %d)...\n", opt.StreamShard)
-	t0 = time.Now()
-	m, err := core.Calibrate(context.Background(), g, scfg, opt)
+	var m *core.Model
+	calRow, err := measure(cfg.Name, "core.calibrate", func() (err error) {
+		m, err = core.Calibrate(context.Background(), g, sta.DefaultConfig(), opt)
+		return err
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	coldMs := float64(time.Since(t0).Microseconds()) / 1e3
 	if m.Fault != "" {
-		return nil, nil, fmt.Errorf("expt: benchscale calibration degraded: %s", m.Fault)
+		return nil, fmt.Errorf("expt: benchscale calibration degraded: %s", m.Fault)
 	}
 	if m.Bank == nil || m.Bank.Total() == 0 {
-		return nil, nil, fmt.Errorf("expt: benchscale calibration kept no paths")
+		return nil, fmt.Errorf("expt: benchscale calibration kept no paths")
 	}
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-
-	res := &ScaleBench{
-		Design:             cfg.Name,
-		Gates:              gates,
-		FFs:                len(d.FFs),
-		Instances:          len(d.Instances),
-		Edges:              g.NumEdges(),
-		StreamShard:        opt.StreamShard,
-		Paths:              m.Bank.Total(),
-		Columns:            len(m.Columns),
-		GenerateWallMs:     genMs,
-		GraphWallMs:        graphMs,
-		ColdWallMs:         coldMs,
-		HeapAfterColdBytes: after.HeapAlloc,
-		SlabBytes:          m.Bank.SizeBytes(),
-	}
-	res.SlabBytesPerPath = float64(res.SlabBytes) / float64(res.Paths)
+	paths := m.Bank.Total()
 
 	// Pointer-form baseline: materialize the identical population the old
 	// cold path would hold and measure its retained heap. Both snapshots
@@ -130,30 +89,27 @@ func BenchScale(e *Env) (*report.Table, *ScaleBench, error) {
 	// snapshots, or the delta measures its collection instead of the
 	// population's footprint.
 	runtime.KeepAlive(an)
-	if pop.Total() != res.Paths {
-		return nil, nil, fmt.Errorf("expt: pointer population has %d paths, bank %d", pop.Total(), res.Paths)
+	if pop.Total() != paths {
+		return nil, fmt.Errorf("expt: pointer population has %d paths, bank %d", pop.Total(), paths)
 	}
+	var pointerBytes uint64
 	if held.HeapAlloc > before.HeapAlloc {
-		res.PointerBytes = held.HeapAlloc - before.HeapAlloc
+		pointerBytes = held.HeapAlloc - before.HeapAlloc
 	}
 	runtime.KeepAlive(pop)
-	res.PointerBytesPerPath = float64(res.PointerBytes) / float64(res.Paths)
-	if res.SlabBytes > 0 {
-		res.SlabReduction = float64(res.PointerBytes) / float64(res.SlabBytes)
+	slabBytes := m.Bank.SizeBytes()
+	reduction := float64(pointerBytes) / float64(slabBytes)
+	calRow.Values = map[string]float64{
+		"stream_shard":           float64(opt.StreamShard),
+		"paths":                  float64(paths),
+		"columns":                float64(len(m.Columns)),
+		"slab_bytes_per_path":    float64(slabBytes) / float64(paths),
+		"pointer_bytes_per_path": float64(pointerBytes) / float64(paths),
+		"slab_reduction":         reduction,
 	}
-	res.Mem = CaptureMem()
-
-	t := report.New(fmt.Sprintf("Scale layer on %s (%d gates, %d FFs, %d edges; shard %d)",
-		res.Design, res.Gates, res.FFs, res.Edges, res.StreamShard),
-		"stage", "wall ms", "result")
-	t.AddRow("generate", report.F(res.GenerateWallMs, 1), fmt.Sprintf("%d instances", res.Instances))
-	t.AddRow("graph build", report.F(res.GraphWallMs, 1), fmt.Sprintf("%d edges", res.Edges))
-	t.AddRow("cold calibration (streamed)", report.F(res.ColdWallMs, 1),
-		fmt.Sprintf("%d paths, %d columns", res.Paths, res.Columns))
-	t.AddNote("heap after cold: %.1f MB; slab %.1f B/path vs pointer %.1f B/path (%.1fx reduction, floor 4x)",
-		float64(res.HeapAfterColdBytes)/1e6, res.SlabBytesPerPath, res.PointerBytesPerPath, res.SlabReduction)
-	if res.SlabReduction < 4 {
-		return nil, nil, fmt.Errorf("expt: slab reduction %.2fx below the 4x acceptance floor", res.SlabReduction)
+	if reduction < 4 {
+		return nil, fmt.Errorf("expt: slab reduction %.2fx below the 4x acceptance floor", reduction)
 	}
-	return t, res, nil
+	f.Rows = append(f.Rows, genRow, graphRow, calRow)
+	return f, nil
 }

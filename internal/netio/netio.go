@@ -28,9 +28,9 @@ import (
 // FormatVersion identifies the on-disk design schema.
 const FormatVersion = 1
 
-// CheckpointVersion identifies the on-disk checkpoint schema. Version 2
-// added the per-transform-kind state blobs; version-1 checkpoints remain
-// readable.
+// CheckpointVersion identifies the on-disk checkpoint schema, the only
+// one LoadCheckpoint accepts. Version 2 added the per-transform-kind state
+// blobs.
 const CheckpointVersion = 2
 
 type fileDesign struct {
@@ -294,9 +294,8 @@ func SaveCheckpoint(w io.Writer, c *Checkpoint) error {
 
 // LoadCheckpoint reads a checkpoint written by SaveCheckpoint, fully
 // revalidating the embedded design and weights: a corrupt or truncated
-// stream yields an error, never a partially valid checkpoint. Both the
-// current format (v2) and the pre-transform-framework v1 load; a v1
-// checkpoint simply has no per-kind blobs.
+// stream yields an error, never a partially valid checkpoint. Any version
+// but CheckpointVersion is rejected.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	r = faultinject.Reader(faultinject.NetioRead, r)
 	var fc fileCheckpoint
@@ -304,11 +303,8 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err := dec.Decode(&fc); err != nil {
 		return nil, fmt.Errorf("netio: %w", err)
 	}
-	if fc.Version < 1 || fc.Version > CheckpointVersion {
-		return nil, fmt.Errorf("netio: unsupported checkpoint version %d (want 1..%d)", fc.Version, CheckpointVersion)
-	}
-	if fc.Version == 1 && fc.Kinds != nil {
-		return nil, fmt.Errorf("netio: version-1 checkpoint carries per-kind state")
+	if fc.Version != CheckpointVersion {
+		return nil, fmt.Errorf("netio: unsupported checkpoint version %d (want %d)", fc.Version, CheckpointVersion)
 	}
 	d, err := fromFile(&fc.Design)
 	if err != nil {

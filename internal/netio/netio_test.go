@@ -407,52 +407,44 @@ func TestLoadReadFault(t *testing.T) {
 	}
 }
 
-// TestCheckpointV1ReadCompat verifies the format-v2 reader still accepts a
-// version-1 checkpoint (no per-kind blobs). A v1 file is indistinguishable
-// from a v2 file that carries no kinds, so demoting the version field of
-// such a file is exactly the bytes a pre-v2 writer produced.
-func TestCheckpointV1ReadCompat(t *testing.T) {
-	d := makeDesign(t)
-	w := make([]float64, len(d.Instances))
-	for i := range w {
-		w[i] = 1
-	}
+// loadAsV1 saves ck, demotes the file's version field to 1 and loads it
+// back, returning the load error.
+func loadAsV1(t *testing.T, ck *netio.Checkpoint) error {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := netio.SaveCheckpoint(&buf, &netio.Checkpoint{Design: d, Weights: w, State: json.RawMessage(`{"round":1}`)}); err != nil {
+	if err := netio.SaveCheckpoint(&buf, ck); err != nil {
 		t.Fatal(err)
 	}
 	v1 := bytes.Replace(buf.Bytes(), []byte(`"checkpoint_version": 2`), []byte(`"checkpoint_version": 1`), 1)
 	if bytes.Equal(v1, buf.Bytes()) {
 		t.Fatal("checkpoint version field not found")
 	}
-	c, err := netio.LoadCheckpoint(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 checkpoint rejected: %v", err)
-	}
-	if c.Kinds != nil {
-		t.Fatalf("v1 checkpoint produced kinds: %v", c.Kinds)
-	}
-	if len(c.Weights) != len(w) {
-		t.Fatalf("weights length drifted: %d vs %d", len(c.Weights), len(w))
+	_, err := netio.LoadCheckpoint(bytes.NewReader(v1))
+	return err
+}
+
+// TestCheckpointV1ReadCompat: v1 read-compat is gone, and only the current
+// checkpoint format loads. A version-1 file without per-kind blobs (the
+// bytes a pre-v2 writer produced, which nothing has written since) is
+// refused with an error that names its version.
+func TestCheckpointV1ReadCompat(t *testing.T) {
+	d := makeDesign(t)
+	err := loadAsV1(t, &netio.Checkpoint{Design: d, State: json.RawMessage(`{"round":1}`)})
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 checkpoint: err = %v, want a rejection naming version 1", err)
 	}
 }
 
 // TestCheckpointV1RejectsKinds: a checkpoint claiming version 1 but carrying
-// per-transform blobs is internally inconsistent and must be refused rather
-// than silently dropping state.
+// per-transform blobs is refused too, never loaded with its state dropped.
 func TestCheckpointV1RejectsKinds(t *testing.T) {
 	d := makeDesign(t)
-	var buf bytes.Buffer
-	ck := &netio.Checkpoint{
+	err := loadAsV1(t, &netio.Checkpoint{
 		Design: d,
 		Kinds:  map[string]json.RawMessage{"retime": json.RawMessage(`{"lags":{"3":1}}`)},
-	}
-	if err := netio.SaveCheckpoint(&buf, ck); err != nil {
-		t.Fatal(err)
-	}
-	v1 := bytes.Replace(buf.Bytes(), []byte(`"checkpoint_version": 2`), []byte(`"checkpoint_version": 1`), 1)
-	if _, err := netio.LoadCheckpoint(bytes.NewReader(v1)); err == nil {
-		t.Fatal("version-1 checkpoint with kinds accepted")
+	})
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 checkpoint with kinds: err = %v, want a rejection naming version 1", err)
 	}
 }
 
