@@ -9,7 +9,7 @@ import (
 // Multi-corner closure: when Options.Core.Corners names N>=2 corners, the
 // calibrator hands the flow one fitted mGBA view per corner. The flow
 // keeps every extra corner's view advanced in lockstep with the selection
-// corner's (in-place Update for resizes, fresh runs on a structural
+// corner's (in-place Update for resizes, a Rebase onto a structural
 // trial's session, each under the corner's own fitted weights), schedules
 // repairs against the merged worst-corner slack, and vetoes any transform
 // that regresses a corner's WNS — a move is only accepted when no corner
@@ -57,31 +57,36 @@ func (f *flow) releaseCorners() {
 
 // restoreCorners rebuilds a resumed run's extra-corner views from its
 // checkpointed weights: each corner's config from the calibrator, timed
-// under the corner's own weights on the current session.
+// under the corner's own weights on the current session. These are full
+// runs: a resumed run has no view to rebase.
 func (f *flow) restoreCorners() {
 	cfgs := f.cal.CornerConfigs()
 	for i, w := range f.resumeCorners {
-		f.cviews = append(f.cviews, &cornerView{name: f.opt.Core.Corners[i+1].Name, cfg: cfgs[i+1], weights: w})
-	}
-	for i, r := range f.runCornersOn(f.sess) {
-		f.cviews[i].r = r
+		cv := &cornerView{name: f.opt.Core.Corners[i+1].Name, cfg: cfgs[i+1], weights: w}
+		cv.r = f.sess.Run(f.cornerConfig(cv))
+		f.cviews = append(f.cviews, cv)
 	}
 	f.resumeCorners = nil
 }
 
-// runCornersOn times every corner under its own weights on a session (a
-// structural trial's, or a resumed run's), without touching the flow's
-// own views.
-func (f *flow) runCornersOn(sess *engine.Session) []*sta.Result {
+// cornerConfig returns the corner's analysis config under its own
+// weights, padded with 1 for instances created since its calibration.
+func (f *flow) cornerConfig(cv *cornerView) sta.Config {
+	cv.weights = padWeights(cv.weights, len(f.d.Instances))
+	cfg := cv.cfg
+	cfg.Weights = cv.weights
+	return cfg
+}
+
+// rebaseCorners carries every corner's view over to a structural trial's
+// session (see Result.Rebase), without touching the flow's own views.
+func (f *flow) rebaseCorners(sess *engine.Session, edited []int) []*sta.Result {
 	if len(f.cviews) == 0 {
 		return nil
 	}
 	out := make([]*sta.Result, len(f.cviews))
 	for i, cv := range f.cviews {
-		cv.weights = padWeights(cv.weights, len(f.d.Instances))
-		cfg := cv.cfg
-		cfg.Weights = cv.weights
-		out[i] = sess.Run(cfg)
+		out[i] = cv.r.Rebase(sess, f.cornerConfig(cv), edited)
 	}
 	return out
 }

@@ -620,9 +620,10 @@ func (f *flow) repairEndpoint(fi int) (bool, error) {
 //
 //   - connectivity-preserving (upsize, downsize): advance the Result in
 //     place over the move's dirty set — the cheap path;
-//   - connectivity-changing (buffer, retime): time the trial on a fresh
-//     session, and on acceptance adopt it, mark the calibrator for
-//     rebinding, and widen the dirty set with the graph-state diff.
+//   - connectivity-changing (buffer, retime): time the trial on a session
+//     derived from the flow's, and on acceptance adopt it, mark the
+//     calibrator for rebinding, and widen the dirty set with the
+//     graph-state diff.
 func (f *flow) tryCandidate(tr transform.Transform, fi int, c transform.Candidate) (bool, error) {
 	a := f.analysis()
 	before := f.snap(fi)
@@ -656,8 +657,11 @@ func (f *flow) tryCandidate(tr transform.Transform, fi int, c transform.Candidat
 }
 
 // tryStructural is the trial protocol for connectivity-changing moves
-// (buffer insertion, retiming). The trial is timed on a fresh session; on
-// acceptance the flow adopts it, marks the calibrator stale (the next
+// (buffer insertion, retiming). The trial's session is derived from the
+// flow's, sharing its clock state while the move leaves the clock network
+// alone, and the trial's views are the flow's rebased onto it: an Update
+// over what the move reached, bitwise equal to a fresh run. On
+// acceptance the flow adopts them, marks the calibrator stale (the next
 // calibrate rebinds instead of going cold), and widens the move's
 // structural dirty set with every instance whose graph-derived depth or
 // bounding-box state moved — together they cover exactly the instances
@@ -672,17 +676,18 @@ func (f *flow) tryStructural(tr transform.Transform, fi int, mv transform.Move, 
 	if err != nil {
 		return false, fmt.Errorf("closure: %s move broke the timing graph: %w", mv.Kind(), err)
 	}
-	newSess := engine.NewSession(g2)
-	newR := newSess.Run(f.weightedConfig())
+	newSess := f.sess.Derive(g2)
+	edited := mv.DirtySet()
+	newR := f.r.Rebase(newSess, f.weightedConfig(), edited)
 	after := transform.Snapshot{Slack: math.NaN(), WNS: newR.WNS, TNS: newR.TNS}
 	if fi >= 0 {
 		after.Slack = newR.Slack[fi]
 	}
 	cwns := f.cornerWNS()
-	newCViews := f.runCornersOn(newSess)
+	newCViews := f.rebaseCorners(newSess, edited)
 	if tr.Accept(before, after) && !vetoedByCorners(cwns, newCViews) {
-		dirty := append([]int(nil), mv.DirtySet()...)
-		dirty = append(dirty, diffSessions(f.sess, newSess)...)
+		dirty := append([]int(nil), edited...)
+		dirty = append(dirty, engine.DerateDiff(f.sess, newSess)...)
 		f.retire(nil)
 		for i, cv := range f.cviews {
 			// The old views belong to the superseded session; swap in the
@@ -706,24 +711,6 @@ func (f *flow) tryStructural(tr transform.Transform, fi int, mv transform.Move, 
 		return false, err
 	}
 	return false, nil
-}
-
-// diffSessions returns the instances whose graph-derived derate inputs —
-// GBA depth or GBA bounding-box distance — differ between two sessions,
-// over the old session's instances (instances appended since are in the
-// move's own dirty set). A structural move can shift these outside its
-// own neighborhood (depth suffixes and box unions propagate against the
-// data flow), and any such instance times differently even though nothing
-// around it was edited.
-func diffSessions(old, cur *engine.Session) []int {
-	var out []int
-	for i := range old.Depths.GBA {
-		if old.Depths.GBA[i] != cur.Depths.GBA[i] ||
-			old.Boxes.GBADistance[i] != cur.Boxes.GBADistance[i] {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // finish records the final QoR, including a PBA sign-off measurement so

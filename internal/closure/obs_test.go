@@ -86,12 +86,16 @@ func TestObsOnOffClosureBitIdentical(t *testing.T) {
 
 // TestStructuralTrialsKeepSessionAndCalibrator counts the mechanism behind
 // the closure-d3 benchmark configuration (D3, DefaultOptions(mGBA),
-// RecalibrateEvery 25). Its buffer trials are all rejected; each is timed
-// on one throwaway session, and the pre-trial session, timing view and
-// calibrator stay in place. So one run makes 18 full engine runs and only
-// its first calibration runs cold. Rebuilding the session around every
-// trial and its revert, and dropping the calibrator with it, made it 41
-// runs and 5 cold calibrations.
+// RecalibrateEvery 25). Its buffer trials are all rejected; each times
+// its move on a session derived from the flow's, by rebasing the flow's
+// view onto it (one Update), and the pre-trial session, timing view and
+// calibrator stay in place. So one run makes 3 full engine runs (the cold
+// calibration's baseline, its weighted re-analysis and the sign-off), one
+// Update per rejected structural trial on top of the resize loop's 645,
+// and only its first calibration runs cold. Timing each trial with a
+// full run on a fresh session made it 18 runs; rebuilding the session
+// around every trial and its revert, and dropping the calibrator with
+// it, made it 41 runs and 5 cold calibrations.
 func TestStructuralTrialsKeepSessionAndCalibrator(t *testing.T) {
 	d, err := gen.Generate(gen.Suite()[2]) // D3; the generator times it too
 	if err != nil {
@@ -114,11 +118,22 @@ func TestStructuralTrialsKeepSessionAndCalibrator(t *testing.T) {
 		v, _ := snap[name].(int64)
 		return v
 	}
-	if n := count("closure.transforms.buffer.rejected"); n == 0 {
+	rejected := count("closure.transforms.buffer.rejected")
+	if rejected == 0 {
 		t.Fatal("no buffer trial ran; the configuration no longer exercises the structural protocol")
 	}
-	if n := count("engine.runs"); n != 18 {
-		t.Errorf("engine.runs = %d, want 18", n)
+	if n := count("engine.runs"); n != 3 {
+		t.Errorf("engine.runs = %d, want 3", n)
+	}
+	if n := count("engine.updates"); n != 645+rejected {
+		t.Errorf("engine.updates = %d, want %d (645 resize-loop updates + %d rejected structural trials)",
+			n, 645+rejected, rejected)
+	}
+	if n := count("engine.sessions.derived"); n != rejected {
+		t.Errorf("engine.sessions.derived = %d, want %d (one per structural trial)", n, rejected)
+	}
+	if n := count("engine.sessions.clock_rebuilt"); n != 0 {
+		t.Errorf("engine.sessions.clock_rebuilt = %d, want 0 (buffers on data nets leave the clock network alone)", n)
 	}
 	if n := count("core.calibrations.cold"); n != 1 {
 		t.Errorf("core.calibrations.cold = %d, want 1", n)

@@ -1,8 +1,10 @@
 package engine_test
 
 import (
+	"slices"
 	"testing"
 
+	"mgba/internal/cells"
 	"mgba/internal/engine"
 	"mgba/internal/gen"
 	"mgba/internal/graph"
@@ -142,5 +144,66 @@ func BenchmarkFreshSession(b *testing.B) {
 		}
 		r := engine.NewSession(g).Run(cfg)
 		_ = r.WNS
+	}
+}
+
+// BenchmarkStructuralTrial times one rejected buffer trial of the closure
+// flow on D3, the way the flow runs it: insert a buffer on a data net,
+// rebuild the graph, Derive the trial session from the flow's (sharing
+// its clock state), Rebase the flow's view onto it, then drop the view
+// and revert the insertion. Each revert leaves a dead instance slot, so
+// the design is regenerated, off the clock, every 64 trials.
+func BenchmarkStructuralTrial(b *testing.B) {
+	cfg := engine.DefaultConfig()
+	var (
+		d   *netlist.Design
+		s   *engine.Session
+		r   *engine.Result
+		net int
+		buf *cells.Cell
+	)
+	fresh := func() {
+		var g *graph.Graph
+		d, g = benchDesign(b, gen.Suite()[2]) // D3
+		s = engine.NewSession(g)
+		r = s.Run(cfg)
+		// The output net of the middle combinational gate in topological
+		// order: a data net deep inside the logic cone.
+		var gates []int32
+		for _, v := range g.Topo {
+			if !d.Instances[v].IsFF() {
+				gates = append(gates, v)
+			}
+		}
+		net = d.Instances[gates[len(gates)/2]].Output
+		var err error
+		if buf, err = d.Lib.Pick(cells.Buf, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fresh()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%64 == 0 {
+			b.StopTimer()
+			fresh()
+			b.StartTimer()
+		}
+		bi, err := d.InsertBuffer(net, buf, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		g2, err := graph.Build(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		edited := append(slices.Clone(d.Nets[bi.Output].Sinks), d.Nets[net].Driver, bi.ID)
+		r2 := r.Rebase(s.Derive(g2), cfg, edited)
+		_ = r2.WNS
+		r2.Release()
+		if err := d.RemoveBuffer(bi); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

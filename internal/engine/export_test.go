@@ -19,4 +19,7 @@ func (s *Session) FreeScratch() int {
 }
 
 // NumLevels reports the number of topological levels of the data DAG.
-func (s *Session) NumLevels() int { return len(s.levelOff) - 1 }
+func (s *Session) NumLevels() int {
+	s.levelOnce.Do(s.levelize)
+	return len(s.levelOff) - 1
+}

@@ -10,6 +10,11 @@ var (
 	obsRuns    = obs.NewCounter("engine.runs")
 	obsUpdates = obs.NewCounter("engine.updates")
 
+	// Sessions Derived from another after a structural edit, and clock
+	// states a Derive could not share because the edit moved their inputs.
+	obsSessionsDerived = obs.NewCounter("engine.sessions.derived")
+	obsClockRebuilt    = obs.NewCounter("engine.sessions.clock_rebuilt")
+
 	// Per Update, added once: instances the forward cone re-evaluated,
 	// and required times the backward sweep re-derived.
 	obsUpdateEvals     = obs.NewCounter("engine.update_evals")

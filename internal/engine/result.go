@@ -380,8 +380,9 @@ func (r *Result) ViolatingEndpoints() []int {
 // entries of instances listed in modified. Every value Update does not
 // recompute is then a pure function of inputs that kept their bits.
 //
-// Connectivity changes (buffer insertion) invalidate the graph and the
-// session; rebuild with graph.Build and NewSession, and Run again instead.
+// Connectivity changes (buffer insertion, retiming) invalidate the graph
+// and the session: rebuild the graph with graph.Build, Derive its session
+// from r's, and Rebase r onto it instead.
 func (r *Result) Update(modified []int) {
 	if len(modified) == 0 {
 		return
@@ -430,4 +431,75 @@ func (r *Result) Update(modified []int) {
 	obsUpdateEvals.Add(int64(evals))
 	obsUpdateRederived.Add(int64(rederived))
 	obsUpdateNS.ObserveSince(tUpd)
+}
+
+// Rebase returns r's analysis carried over to s, a session Derived from
+// r's after a structural edit of the design, and advanced to cfg: bitwise
+// equal to s.Run(cfg), at the cost of one Update over what the edit
+// reached. r itself is left as it was.
+//
+// edited lists the instances the edit touched directly: those whose
+// fan-in, fan-out, output load or output net changed, and those it
+// created (a structural Move's DirtySet). Rebase adds what else differs
+// between the two sessions: the instances whose GBA depth or distance
+// moved (DerateDiff), the instances that joined the data DAG, and the
+// flip-flops whose clock insertion delays or conservative credit moved.
+// Every slot off s's data DAG is reset to what a Run leaves there (zero,
+// RequiredOut +Inf). cfg may differ from r.Cfg only in Weights and
+// DelayOverride entries of instances edited lists or r's session never
+// timed. The edit must keep the flip-flop list: per-endpoint slots are
+// carried over by position.
+func (r *Result) Rebase(s *Session, cfg Config, edited []int) *Result {
+	old := r.S
+	if s.nFF != old.nFF {
+		panic("engine: Rebase across a change of the flip-flop list")
+	}
+	nr := s.newResult(cfg)
+	n := min(old.nInst, s.nInst)
+	for _, sl := range [][2][]float64{
+		{nr.NominalDelay, r.NominalDelay}, {nr.Derate, r.Derate},
+		{nr.CellDelay, r.CellDelay}, {nr.WireDelay, r.WireDelay},
+		{nr.Slew, r.Slew}, {nr.ArrivalOut, r.ArrivalOut},
+		{nr.RequiredOut, r.RequiredOut}, {nr.MinArrival, r.MinArrival},
+	} {
+		copy(sl[0][:n], sl[1][:n])
+	}
+	copy(nr.sc.backFF, r.sc.backFF)
+	seeds := append(DerateDiff(old, s), edited...)
+	for v, p := range s.topoPos {
+		if p < 0 {
+			nr.NominalDelay[v], nr.Derate[v], nr.CellDelay[v], nr.WireDelay[v] = 0, 0, 0, 0
+			nr.Slew[v], nr.ArrivalOut[v], nr.MinArrival[v] = 0, 0, 0
+			nr.RequiredOut[v] = unconstrained
+		} else if v >= old.nInst || old.topoPos[v] < 0 {
+			seeds = append(seeds, v)
+		}
+	}
+	bits := math.Float64bits
+	for fi, ff := range s.G.D.FFs {
+		if bits(nr.ClockLate[fi]) != bits(r.ClockLate[fi]) ||
+			bits(nr.ClockEarly[fi]) != bits(r.ClockEarly[fi]) ||
+			bits(nr.GBACRPR[fi]) != bits(r.GBACRPR[fi]) {
+			seeds = append(seeds, ff)
+		}
+	}
+	nr.Update(seeds)
+	return nr
+}
+
+// DerateDiff returns the instances of old whose graph-derived derate
+// inputs, GBA depth or GBA distance, differ in cur, a session Derived
+// from old. A structural edit can shift them far from its own
+// neighborhood (depth suffixes and box unions propagate against the data
+// flow), and any such instance times differently although nothing around
+// it was edited. Instances cur gained are not listed.
+func DerateDiff(old, cur *Session) []int {
+	var out []int
+	for i := range min(old.nInst, cur.nInst) {
+		if old.Depths.GBA[i] != cur.Depths.GBA[i] ||
+			old.Boxes.GBADistance[i] != cur.Boxes.GBADistance[i] {
+			out = append(out, i)
+		}
+	}
+	return out
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"mgba/internal/aocv"
+	"mgba/internal/cells"
 	"mgba/internal/graph"
 	"mgba/internal/netlist"
 	"mgba/internal/obs"
@@ -20,8 +21,9 @@ import (
 //
 // A Session is safe for concurrent Runs. It becomes stale when the
 // design's connectivity, placement, or clock tree changes (buffer
-// insertion, cell moves): rebuild the graph and the Session then. Gate
-// resizing on the data path does not invalidate it — that is what
+// insertion, cell moves): rebuild the graph with graph.Build, Derive the
+// new Session from the stale one, and Rebase the stale Results onto it.
+// Gate resizing on the data path does not invalidate it — that is what
 // Result.Update is for.
 //
 // The Session's geometry — its instance and flip-flop counts — is fixed
@@ -36,11 +38,12 @@ type Session struct {
 
 	nInst, nFF int // geometry at build time: len(D.Instances), len(D.FFs)
 
-	// Levelization of the data DAG: level 0 holds the flip-flops (path
-	// sources), level l>0 the combinational gates whose deepest fanin sits
-	// at level l-1. levelOrder lists instances grouped by level (topo
-	// order within a level); level l spans
+	// Levelization of the data DAG, built by the first Run: level 0 holds
+	// the flip-flops (path sources), level l>0 the combinational gates
+	// whose deepest fanin sits at level l-1. levelOrder lists instances
+	// grouped by level (topo order within a level); level l spans
 	// levelOrder[levelOff[l]:levelOff[l+1]].
+	levelOnce  sync.Once
 	levelOrder []int32
 	levelOff   []int
 
@@ -77,13 +80,52 @@ type clockState struct {
 	// clock-leaf pair. nil when the configuration yields zero credits
 	// (ideal clock, or clock derating off).
 	credits [][]float64
+
+	// bufs records, per clock-chain buffer, every design input the state
+	// read of it. With the session graph's flip-flop list and clock
+	// chains it is the whole input of the state: Derive shares the state
+	// only while the design still matches it bit for bit.
+	bufs []clockBuf
+}
+
+// clockBuf is one clock buffer's delay and derate inputs as a clock state
+// read them: its cell, the load and wire delay of its output net, and its
+// placement (the derate distance from the chain root).
+type clockBuf struct {
+	id         int32
+	cell       *cells.Cell
+	load, wire float64
+	x, y       float64
+}
+
+func readClockBuf(d *netlist.Design, id int32) clockBuf {
+	in := d.Instances[id]
+	n := d.Nets[in.Output]
+	return clockBuf{id: id, cell: in.Cell, load: d.LoadCap(n), wire: n.WireDelay, x: in.X, y: in.Y}
+}
+
+// unchanged reports whether the design still holds every recorded clock
+// buffer input bit for bit.
+func (cs *clockState) unchanged(d *netlist.Design) bool {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, b := range cs.bufs {
+		if in := d.Instances[b.id]; in.Dead || in.Output < 0 || in.Cell != b.cell {
+			return false
+		}
+		now := readClockBuf(d, b.id)
+		if !same(now.load, b.load) || !same(now.wire, b.wire) || !same(now.x, b.x) || !same(now.y, b.y) {
+			return false
+		}
+	}
+	return true
 }
 
 var unconstrained = math.Inf(1)
 
 // NewSession computes the design-derived immutable state: depth and
-// bounding-box DPs, levelization, and the scratch pool geometry. Clock
-// state is derived lazily per clock configuration on first Run.
+// bounding-box DPs, topological positions, and the scratch pool geometry.
+// Clock state is derived lazily per clock configuration, and the
+// levelization on the first Run.
 func NewSession(g *graph.Graph) *Session {
 	s := &Session{
 		G:      g,
@@ -100,8 +142,57 @@ func NewSession(g *graph.Graph) *Session {
 	for pos, v := range g.Topo {
 		s.topoPos[v] = int32(pos)
 	}
-	s.levelize()
 	return s
+}
+
+// Derive returns the Session of g, a graph rebuilt from s's design after
+// a structural edit of its data network (a buffer insertion, a retiming
+// slide), equal to NewSession(g) in every state it holds. It computes
+// what such an edit can move (depths, boxes, topological positions) and
+// takes over each of s's clock states whose inputs the edit provably
+// left alone: the same flip-flop list and clock chains, and every chain
+// buffer's cell, output load, wire delay and placement equal bit for bit
+// in the design as it stands now. A shared state keeps its insertion
+// delays and leaf-pair credit matrix, and g takes over the tree part of
+// s's clock index; the conservative endpoint credit is re-derived,
+// because it reads the launch-leaf reachability of the new data graph. A
+// state whose inputs moved is rebuilt from scratch
+// (engine.sessions.clock_rebuilt).
+func (s *Session) Derive(g *graph.Graph) *Session {
+	obsSessionsDerived.Inc()
+	ns := NewSession(g)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.clocks) == 0 {
+		return ns
+	}
+	sameTree := g.ShareClockTree(s.G)
+	for key, cs := range s.clocks {
+		if sameTree && cs.unchanged(g.D) {
+			ns.clocks[key] = ns.shareClockState(cs)
+			continue
+		}
+		obsClockRebuilt.Inc()
+		ns.clocks[key] = ns.buildClockState(key)
+	}
+	return ns
+}
+
+// shareClockState takes over cs's insertion delays, credit matrix and
+// recorded inputs, and re-derives the conservative endpoint credit from
+// s's own launch-leaf reachability.
+func (s *Session) shareClockState(cs *clockState) *clockState {
+	ns := &clockState{
+		clockLate:  cs.clockLate,
+		clockEarly: cs.clockEarly,
+		gbaCRPR:    make([]float64, s.nFF),
+		credits:    cs.credits,
+		bufs:       cs.bufs,
+	}
+	if ns.credits != nil {
+		s.endpointCredits(ns)
+	}
+	return ns
 }
 
 // NumInstances returns the design's instance count when the Session was
@@ -115,7 +206,9 @@ func (s *Session) NumFFs() int { return s.nFF }
 
 // levelize groups the data instances by topological level. Within a level
 // no instance feeds another (any data edge raises the sink's level), so a
-// level's instances can be evaluated in any order — or in parallel.
+// level's instances can be evaluated in any order — or in parallel. Run
+// calls it through levelOnce: a session that only ever Rebases and
+// Updates never needs it.
 func (s *Session) levelize() {
 	g := s.G
 	d := g.D
@@ -203,10 +296,11 @@ func (s *Session) buildClockState(key clockKey) *clockState {
 		if k > 0 {
 			inSlew = eval(chain, k-1).slew
 		}
-		load := d.LoadCap(d.Nets[in.Output])
+		b := readClockBuf(d, id)
+		cs.bufs = append(cs.bufs, b)
 		m := &bufT{
-			delay: in.Cell.Delay(load, inSlew) + d.Nets[in.Output].WireDelay,
-			slew:  in.Cell.OutputSlew(load, inSlew),
+			delay: in.Cell.Delay(b.load, inSlew) + b.wire,
+			slew:  in.Cell.OutputSlew(b.load, inSlew),
 			done:  true,
 		}
 		memo[id] = m
@@ -319,11 +413,17 @@ func (s *Session) buildCredits(cs *clockState, derates *aocv.Set) {
 		}
 		cs.credits[leafL] = row
 	}
-	// Conservative per-endpoint credit: the smallest pair credit over every
-	// launch leaf that can reach the endpoint. This is what industrial GBA
-	// applies — safe for any path, pessimistic for paths whose true launch
-	// shares a deeper clock prefix.
-	for fi := range d.FFs {
+	s.endpointCredits(cs)
+}
+
+// endpointCredits fills the conservative per-endpoint credit from the
+// credit matrix: the smallest pair credit over every launch leaf that can
+// reach the endpoint. This is what industrial GBA applies — safe for any
+// path, pessimistic for paths whose true launch shares a deeper clock
+// prefix.
+func (s *Session) endpointCredits(cs *clockState) {
+	ci := s.G.ClockIndex()
+	for fi := range s.G.D.FFs {
 		leaves := ci.LaunchLeaves[fi]
 		if len(leaves) == 0 {
 			continue
@@ -402,9 +502,26 @@ func (s *Session) getScratch() *scratch {
 // it is no longer needed to make the next Run allocation-free.
 func (s *Session) Run(cfg Config) *Result {
 	tRun := obs.Clock()
+	s.levelOnce.Do(s.levelize)
+	r := s.newResult(cfg)
+	tFwd := obs.Clock()
+	r.forwardAll()
+	obsForwardNS.ObserveSince(tFwd)
+	tBwd := obs.Clock()
+	r.backwardAll()
+	obsBackwardNS.ObserveSince(tBwd)
+	r.endpointSlacks()
+	obsRuns.Inc()
+	obsRunNS.ObserveSince(tRun)
+	return r
+}
+
+// newResult binds a Result under cfg to the session's clock state for cfg
+// and a zeroed scratch set from the pool.
+func (s *Session) newResult(cfg Config) *Result {
 	cs := s.clockState(cfg)
 	sc := s.getScratch()
-	r := &Result{
+	return &Result{
 		G:   s.G,
 		Cfg: cfg,
 		S:   s,
@@ -433,14 +550,4 @@ func (s *Session) Run(cfg Config) *Result {
 		sc:  sc,
 		par: workers(cfg.Parallelism),
 	}
-	tFwd := obs.Clock()
-	r.forwardAll()
-	obsForwardNS.ObserveSince(tFwd)
-	tBwd := obs.Clock()
-	r.backwardAll()
-	obsBackwardNS.ObserveSince(tBwd)
-	r.endpointSlacks()
-	obsRuns.Inc()
-	obsRunNS.ObserveSince(tRun)
-	return r
 }

@@ -1,8 +1,10 @@
 package graph_test
 
 import (
+	"slices"
 	"testing"
 
+	"mgba/internal/cells"
 	"mgba/internal/gen"
 	"mgba/internal/graph"
 )
@@ -104,5 +106,59 @@ func TestClockIndexCached(t *testing.T) {
 	g := coneGraph(t)
 	if g.ClockIndex() != g.ClockIndex() {
 		t.Fatal("ClockIndex not memoized")
+	}
+}
+
+// TestShareClockTree pins the clock-tree check behind derived sessions: a
+// buffer on a data net keeps the tree, and the index the rebuilt graph
+// takes over equals one built from scratch; a buffer on a clock leaf net
+// lengthens that leaf's chain and must not be shared.
+func TestShareClockTree(t *testing.T) {
+	g := coneGraph(t)
+	d := g.D
+	g.ClockIndex() // the parent has built its index
+	buf := d.Lib.Variants(cells.Buf)[0]
+	var net int
+	for _, v := range g.Topo {
+		if in := d.Instances[v]; !in.IsFF() && len(d.Nets[in.Output].Sinks) > 0 {
+			net = in.Output
+			break
+		}
+	}
+	if _, err := d.InsertBuffer(net, buf, "databuf"); err != nil {
+		t.Fatal(err)
+	}
+	build := func() *graph.Graph {
+		t.Helper()
+		g, err := graph.Build(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	g2, fresh := build(), build()
+	if !g2.ShareClockTree(g) {
+		t.Fatal("a buffer on a data net changed the clock tree")
+	}
+	got, want := g2.ClockIndex(), fresh.ClockIndex()
+	if !slices.Equal(got.LeafOfFF, want.LeafOfFF) || got.NumLeaves() != want.NumLeaves() ||
+		!slices.EqualFunc(got.Chains, want.Chains, slices.Equal) ||
+		!slices.EqualFunc(got.LaunchLeaves, want.LaunchLeaves, slices.Equal) {
+		t.Fatal("shared clock index differs from a fresh one")
+	}
+	for a := 0; a < want.NumLeaves(); a++ {
+		for b := 0; b < want.NumLeaves(); b++ {
+			if got.CommonLen(a, b) != want.CommonLen(a, b) {
+				t.Fatalf("common prefix of leaves (%d,%d) = %d, want %d", a, b, got.CommonLen(a, b), want.CommonLen(a, b))
+			}
+		}
+	}
+
+	clkBuf := d.Lib.Variants(cells.ClkBuf)[0]
+	if _, err := d.InsertBuffer(d.Instances[d.FFs[0]].Clock, clkBuf, "clkbuf"); err != nil {
+		t.Fatal(err)
+	}
+	if build().ShareClockTree(g2) {
+		t.Fatal("a buffer on a clock leaf net kept the clock tree")
 	}
 }

@@ -18,6 +18,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mgba/internal/cells"
 	"mgba/internal/netlist"
@@ -359,8 +360,42 @@ func (g *Graph) ClockIndex() *ClockIndex {
 			ci.common[a*nl+b] = uint16(n)
 		}
 	}
-	// Launch-leaf reachability over the data graph, as bitsets backed by
-	// one arena (O(V·nl/64) transient, freed when this function returns).
+	g.launchLeaves(ci)
+	g.clockIndex = ci
+	return ci
+}
+
+// ShareClockTree reports whether g and prev, two graphs of one design with
+// prev built before an edit, have the same clock tree: the same flip-flop
+// list and the same clock chain at every flip-flop. That is the whole
+// structural input of the clock index (equal chains end at equal leaf
+// nets), so when it holds and prev has built its index, g takes over the
+// index's tree part (leaf ids, chains, shared-prefix table) and computes
+// only the launch-leaf reachability, which depends on the data graph.
+func (g *Graph) ShareClockTree(prev *Graph) bool {
+	if g.D != prev.D || len(g.ClockChain) != len(prev.ClockChain) {
+		return false
+	}
+	for fi, ffID := range g.D.FFs {
+		if ffID >= len(prev.ffPos) || prev.ffPos[ffID] != int32(fi) ||
+			!slices.Equal(g.ClockChain[fi], prev.ClockChain[fi]) {
+			return false
+		}
+	}
+	if pci := prev.clockIndex; pci != nil && g.clockIndex == nil {
+		ci := &ClockIndex{LeafOfFF: pci.LeafOfFF, Chains: pci.Chains, common: pci.common, nl: pci.nl}
+		g.launchLeaves(ci)
+		g.clockIndex = ci
+	}
+	return true
+}
+
+// launchLeaves fills ci.LaunchLeaves: the launch-leaf reachability over
+// the data graph, as bitsets backed by one arena (O(V·nl/64) transient,
+// freed when this function returns).
+func (g *Graph) launchLeaves(ci *ClockIndex) {
+	d := g.D
+	nl := ci.nl
 	words := (nl + 63) / 64
 	arena := make([]uint64, len(d.Instances)*words)
 	mask := func(v int32) []uint64 {
@@ -415,8 +450,6 @@ func (g *Graph) ClockIndex() *ClockIndex {
 			leafArena = make([]int32, off)
 		}
 	}
-	g.clockIndex = ci
-	return ci
 }
 
 // Depths holds the worst-casing cell-depth DP results used by GBA AOCV

@@ -14,12 +14,13 @@
 //     untouched, the flow advances its Result in place with
 //     Result.Update(DirtySet) — thousands of trials against one session.
 //   - ConnectivityChanging (buffer insertion, retiming): the move rewires
-//     the graph — a buffer also appends an instance — so the flow times
-//     the trial on a freshly built session. A rejected move is reverted
-//     and the pre-trial session stays; an accepted one is adopted, the
-//     persistent calibrator is rebound to it, and the dirty set, widened
-//     with the instances whose graph-derived depth or bounding box moved,
-//     drives an exact *incremental* recalibration.
+//     the graph — a buffer also appends an instance — so the flow rebuilds
+//     the graph, derives a trial session from its own and rebases its
+//     view onto it (engine Session.Derive, Result.Rebase). A rejected
+//     move is reverted and the pre-trial session stays; an accepted one
+//     is adopted, the persistent calibrator is rebound to it, and the
+//     dirty set, widened with the instances whose graph-derived depth or
+//     bounding box moved, drives an exact *incremental* recalibration.
 //
 // Acceptance is also per-transform (Accept over before/after timing
 // snapshots): repair moves demand target-endpoint improvement under a WNS
