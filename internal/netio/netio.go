@@ -33,6 +33,11 @@ const FormatVersion = 1
 // blobs.
 const CheckpointVersion = 2
 
+// fileDesign, fileInstance, fileNet and fileCheckpoint are the on-disk
+// schema. Load and LoadCheckpoint decode through their json tags; the
+// encoder in encode.go writes the same fields in the same order by hand,
+// so a schema change is made in both places
+// (TestEncoderMatchesEncodingJSON fails on any mismatch).
 type fileDesign struct {
 	Version     int     `json:"version"`
 	Name        string  `json:"name"`
@@ -61,39 +66,6 @@ type fileNet struct {
 	Sinks     []int   `json:"sinks,omitempty"`
 	WireCap   float64 `json:"wire_cap_ff"`
 	WireDelay float64 `json:"wire_delay_ps"`
-}
-
-// toFile flattens a design into its serializable form.
-func toFile(d *netlist.Design) fileDesign {
-	fd := fileDesign{
-		Version:     FormatVersion,
-		Name:        d.Name,
-		Node:        d.Node,
-		ClockPeriod: d.ClockPeriod,
-		ClockRoot:   d.ClockRoot,
-		FFs:         d.FFs,
-	}
-	for _, in := range d.Instances {
-		fd.Instances = append(fd.Instances, fileInstance{
-			Name:   in.Name,
-			Cell:   in.Cell.Name,
-			X:      in.X,
-			Y:      in.Y,
-			Inputs: in.Inputs,
-			Output: in.Output,
-			Clock:  in.Clock,
-			Dead:   in.Dead,
-		})
-	}
-	for _, n := range d.Nets {
-		fd.Nets = append(fd.Nets, fileNet{
-			Driver:    n.Driver,
-			Sinks:     n.Sinks,
-			WireCap:   n.WireCap,
-			WireDelay: n.WireDelay,
-		})
-	}
-	return fd
 }
 
 // fromFile reconstructs and revalidates a design from its serialized form.
@@ -148,17 +120,17 @@ func fromFile(fd *fileDesign) (*netlist.Design, error) {
 	return d, nil
 }
 
-// Save writes the design as indented JSON. For durable on-disk snapshots
-// use SaveFile, which writes atomically.
+// Save writes the design as indented JSON. It checks the design first and
+// writes nothing when it cannot be saved (a NaN or infinite coordinate,
+// clock period or wire parasitic). For durable on-disk snapshots use
+// SaveFile, which writes atomically.
 func Save(w io.Writer, d *netlist.Design) error {
-	w = faultinject.Writer(faultinject.NetioWrite, w)
-	fd := toFile(d)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(fd); err != nil {
-		return fmt.Errorf("netio: %w", err)
+	if err := validFloats(d); err != nil {
+		return err
 	}
-	return nil
+	e := newEncoder(faultinject.Writer(faultinject.NetioWrite, w))
+	e.design(d)
+	return e.finish()
 }
 
 // Load reads a design saved by Save and revalidates it. The standard-cell
@@ -268,7 +240,8 @@ type fileCheckpoint struct {
 }
 
 // SaveCheckpoint writes the checkpoint as one JSON document (always at
-// the current CheckpointVersion).
+// the current CheckpointVersion). It checks the weights, the design's
+// floats and the state blobs first and writes nothing when any is bad.
 func SaveCheckpoint(w io.Writer, c *Checkpoint) error {
 	if c == nil || c.Design == nil {
 		return fmt.Errorf("netio: nil checkpoint design")
@@ -276,20 +249,16 @@ func SaveCheckpoint(w io.Writer, c *Checkpoint) error {
 	if err := validWeights(c.Weights, len(c.Design.Instances)); err != nil {
 		return err
 	}
-	w = faultinject.Writer(faultinject.NetioWrite, w)
-	fc := fileCheckpoint{
-		Version: CheckpointVersion,
-		Design:  toFile(c.Design),
-		Weights: c.Weights,
-		State:   c.State,
-		Kinds:   c.Kinds,
+	if err := validFloats(c.Design); err != nil {
+		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(fc); err != nil {
-		return fmt.Errorf("netio: %w", err)
+	blobs, err := prepareBlobs(c)
+	if err != nil {
+		return err
 	}
-	return nil
+	e := newEncoder(faultinject.Writer(faultinject.NetioWrite, w))
+	e.checkpoint(c, blobs)
+	return e.finish()
 }
 
 // LoadCheckpoint reads a checkpoint written by SaveCheckpoint, fully

@@ -149,18 +149,29 @@ func (r *Rand) SampleWithoutReplacement(n, k int) []int {
 
 // WeightedSampler draws indices with probability proportional to fixed
 // nonnegative weights, as Eq. (11) requires for the stochastic CG solver.
-// It is built once per weight vector (O(n)) and then samples in O(log n)
-// via binary search on the cumulative distribution.
+// It is built once per weight vector (O(n)) and draws by searching the
+// cumulative distribution for the first value exceeding u·Total().
+//
+// A cutpoint (guide) table narrows that search to expected O(1) for every
+// draw. The range [0, Total()) is cut into n buckets and a cumulative
+// value c falls in bucket int(c·n/Total()); guide[b] is the first index
+// whose value falls in bucket b or later. Bucketing is monotone in c, so
+// the index the search wants lies between guide[b] and guide[b+1] for
+// the draw's bucket b, and searching only there returns exactly the
+// index a binary search over the whole distribution returns.
 type WeightedSampler struct {
 	cum   []float64
 	total float64
+	scale float64 // n / total, the bucket scale
+	guide []int32 // len n+2; nil when the total or the scale is not finite
 }
 
 // NewWeightedSampler builds a sampler over weights. Negative weights panic;
 // an all-zero or empty weight vector yields a sampler whose Sample panics,
 // detectable via Total() == 0.
 func NewWeightedSampler(weights []float64) *WeightedSampler {
-	ws := &WeightedSampler{cum: make([]float64, len(weights))}
+	n := len(weights)
+	ws := &WeightedSampler{cum: make([]float64, n)}
 	var c float64
 	for i, w := range weights {
 		if w < 0 || math.IsNaN(w) {
@@ -170,7 +181,24 @@ func NewWeightedSampler(weights []float64) *WeightedSampler {
 		ws.cum[i] = c
 	}
 	ws.total = c
+	scale := float64(n) / c
+	if c > 0 && !math.IsInf(c, 0) && !math.IsInf(scale, 0) && n < math.MaxInt32 {
+		ws.scale = scale
+		ws.guide = make([]int32, n+2)
+		i := 0
+		for b := range ws.guide {
+			for i < n && ws.bucket(ws.cum[i]) < b {
+				i++
+			}
+			ws.guide[b] = int32(i)
+		}
+	}
 	return ws
+}
+
+// bucket maps a value in [0, total] to its bucket, n at most.
+func (ws *WeightedSampler) bucket(c float64) int {
+	return min(int(c*ws.scale), len(ws.cum))
 }
 
 // Total returns the sum of all weights.
@@ -181,9 +209,17 @@ func (ws *WeightedSampler) Sample(r *Rand) int {
 	if ws.total <= 0 {
 		panic("rng: WeightedSampler with zero total weight")
 	}
-	u := r.Float64() * ws.total
-	// Binary search for the first cumulative value exceeding u.
+	return ws.search(r.Float64() * ws.total)
+}
+
+// search returns the first index whose cumulative weight exceeds u, or
+// the last index if none does.
+func (ws *WeightedSampler) search(u float64) int {
 	lo, hi := 0, len(ws.cum)-1
+	if ws.guide != nil {
+		b := ws.bucket(u)
+		lo, hi = min(int(ws.guide[b]), hi), min(int(ws.guide[b+1]), hi)
+	}
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if ws.cum[mid] <= u {

@@ -259,6 +259,105 @@ func TestWeightedSamplerSingle(t *testing.T) {
 	}
 }
 
+// binarySearch is the sampler's search without the cutpoint table: the
+// first index of cum whose value exceeds u, or the last index.
+func binarySearch(cum []float64, u float64) int {
+	lo, hi := 0, len(cum)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cum[mid] <= u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestWeightedSamplerMatchesBinarySearch: with its cutpoint table the
+// sampler returns the index of a binary search over the whole cumulative
+// distribution for every draw. Weight vectors mix zero, subnormal, tiny,
+// ordinary, tied and huge weights (huge sums overflow to +Inf, subnormal
+// totals give an infinite bucket scale; both keep the plain search), n = 1
+// included; draws come from Sample's own stream and are also placed on
+// and beside every bucket edge and every cumulative value.
+func TestWeightedSamplerMatchesBinarySearch(t *testing.T) {
+	r := New(99)
+	kinds := []func() float64{
+		func() float64 { return 0 },
+		func() float64 { return 5e-324 * float64(1+r.Intn(8)) },
+		func() float64 { return 1e-300 * r.Float64() },
+		func() float64 { return r.Float64() },
+		func() float64 { return float64(1 + r.Intn(3)) },
+		func() float64 { return 1e300 * r.Float64() },
+		func() float64 { return math.MaxFloat64 },
+	}
+	check := func(ws *WeightedSampler, u float64) {
+		t.Helper()
+		if u < 0 || u >= ws.total {
+			return
+		}
+		if got, want := ws.search(u), binarySearch(ws.cum, u); got != want {
+			t.Fatalf("n=%d total=%v: draw %v gives index %d, binary search %d", len(ws.cum), ws.total, u, got, want)
+		}
+	}
+	var guided, plain int
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + r.Intn(40)
+		switch trial % 20 {
+		case 0:
+			n = 1
+		case 1:
+			n = 1 + r.Intn(3000)
+		}
+		var use []func() float64
+		for len(use) == 0 {
+			for _, k := range kinds {
+				if r.Intn(3) == 0 {
+					use = append(use, k)
+				}
+			}
+		}
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = use[r.Intn(len(use))]()
+		}
+		ws := NewWeightedSampler(w)
+		if ws.Total() <= 0 {
+			continue
+		}
+		if ws.guide != nil {
+			guided++
+		} else {
+			plain++
+		}
+		a, b := New(uint64(trial)), New(uint64(trial))
+		for k := 0; k < 200; k++ {
+			got := ws.Sample(a)
+			if want := binarySearch(ws.cum, b.Float64()*ws.total); got != want {
+				t.Fatalf("trial %d draw %d: Sample = %d, binary search %d", trial, k, got, want)
+			}
+		}
+		if ws.guide != nil {
+			for bk := 0; bk <= n; bk++ {
+				e := float64(bk) / ws.scale
+				check(ws, e)
+				check(ws, math.Nextafter(e, 0))
+				check(ws, math.Nextafter(e, math.Inf(1)))
+			}
+		}
+		check(ws, 0)
+		for _, c := range ws.cum {
+			check(ws, c)
+			check(ws, math.Nextafter(c, 0))
+			check(ws, math.Nextafter(c, math.Inf(1)))
+		}
+	}
+	if guided == 0 || plain == 0 {
+		t.Fatalf("%d vectors searched through the cutpoint table, %d without; want both", guided, plain)
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
