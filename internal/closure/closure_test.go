@@ -2,12 +2,15 @@ package closure_test
 
 import (
 	"math"
+	"path/filepath"
 	"testing"
 
 	"mgba/internal/closure"
 	"mgba/internal/core"
+	"mgba/internal/fixtures"
 	"mgba/internal/gen"
 	"mgba/internal/graph"
+	"mgba/internal/netlist"
 	"mgba/internal/obs"
 	"mgba/internal/sta"
 )
@@ -288,7 +291,7 @@ func TestIncrementalCalibrationEquivalence(t *testing.T) {
 // TestPrerouteClosureStaysIncremental extends the incremental contract to
 // the cross-stage pair on D3: the dirty-set flow must land on the
 // ColdRecalibrate ablation's design, weights and QoR bit for bit, while
-// the routed twin follows the rejected buffer trials' dead slots, so only
+// the routed twin stays in step across the rejected buffer trials, so only
 // the first calibration runs cold and each call counts once.
 func TestPrerouteClosureStaysIncremental(t *testing.T) {
 	runFlow := func(cold bool) (*closure.Result, string, map[string]any) {
@@ -315,7 +318,7 @@ func TestPrerouteClosureStaysIncremental(t *testing.T) {
 	cold, coldHash, _ := runFlow(true)
 
 	if n := snap["closure.transforms.buffer.rejected"]; n == int64(0) {
-		t.Fatal("no buffer trial rejected; the run leaves no dead slot")
+		t.Fatal("no buffer trial rejected; the run never reverts an insertion")
 	}
 	nCold, _ := snap["core.calibrations.cold"].(int64)
 	nInc, _ := snap["core.calibrations.incremental"].(int64)
@@ -340,5 +343,67 @@ func TestPrerouteClosureStaysIncremental(t *testing.T) {
 	}
 	if hashWeights(inc.Weights) != hashWeights(cold.Weights) {
 		t.Error("calibration weights diverge between incremental and cold")
+	}
+}
+
+// TestRejectedTrialsLeaveNoSlots: a reverted buffer trial pops its buffer
+// and net, so a closure run ends with the instances and nets it started
+// with plus the buffers it accepted, its weight vector as long as the
+// design, and every checkpoint written, including those right after an
+// accepted or a rejected trial. D3 rejects its buffer trials; bufcase
+// accepts one.
+func TestRejectedTrialsLeaveNoSlots(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		design   func() (*netlist.Design, error)
+		rejected bool // the run must reject a buffer trial
+		accepted int  // buffers the run must accept
+	}{
+		{"D3", func() (*netlist.Design, error) { return gen.Generate(gen.Suite()[2]) }, true, 0},
+		{"bufcase", fixtures.BufferCase, false, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := tc.design()
+			if err != nil {
+				t.Fatal(err)
+			}
+			nInst, nNets := len(d.Instances), len(d.Nets)
+			prev := obs.Enabled()
+			defer obs.Enable(prev)
+			obs.Enable(true)
+			obs.Reset()
+			defer obs.Reset()
+
+			opt := closure.DefaultOptions(closure.TimerMGBA)
+			opt.RecalibrateEvery = 25
+			opt.CheckpointPath = filepath.Join(t.TempDir(), "ckpt.json")
+			opt.CheckpointEvery = 1 // a checkpoint after every accepted move
+			res, err := closure.Optimize(d, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rejected, _ := obs.Snapshot()["closure.transforms.buffer.rejected"].(int64)
+			if tc.rejected && rejected == 0 {
+				t.Fatal("no buffer trial rejected; the run never reverts an insertion")
+			}
+			if res.BuffersAdded != tc.accepted {
+				t.Fatalf("%d buffers accepted, want %d", res.BuffersAdded, tc.accepted)
+			}
+			if got, want := len(d.Instances), nInst+res.BuffersAdded; got != want {
+				t.Errorf("design ends with %d instances after %d rejected trials, want %d", got, rejected, want)
+			}
+			if got, want := len(d.Nets), nNets+res.BuffersAdded; got != want {
+				t.Errorf("design ends with %d nets after %d rejected trials, want %d", got, rejected, want)
+			}
+			if len(res.Weights) != len(d.Instances) {
+				t.Errorf("%d weights for %d instances", len(res.Weights), len(d.Instances))
+			}
+			if len(res.Faults) != 0 {
+				t.Errorf("faults recorded: %q", res.Faults)
+			}
+			if res.Checkpoints == 0 {
+				t.Error("no checkpoint written")
+			}
+		})
 	}
 }

@@ -667,10 +667,10 @@ func (f *flow) tryCandidate(tr transform.Transform, fi int, c transform.Candidat
 // bounding-box state moved — together they cover exactly the instances
 // whose timing the move could have changed, which is what makes the
 // subsequent incremental recalibration bit-identical to a cold one. On
-// rejection the move is reverted and the pre-trial session, timing view
-// and calibrator simply remain in place: the design times identically
-// again (a reverted buffer leaves only a dead instance slot, which the
-// pre-trial session never saw).
+// rejection the move is reverted, leaving the design exactly as the trial
+// found it, and the pre-trial session, timing view and calibrator simply
+// remain in place; the weight vectors drop the padding the trial gave
+// them.
 func (f *flow) tryStructural(tr transform.Transform, fi int, mv transform.Move, before transform.Snapshot) (bool, error) {
 	g2, err := graph.Build(f.d)
 	if err != nil {
@@ -709,6 +709,13 @@ func (f *flow) tryStructural(tr transform.Transform, fi int, mv transform.Move, 
 	}
 	if err := mv.Revert(f.analysis()); err != nil {
 		return false, err
+	}
+	// Drop the weights padded for the popped instances; the capacity
+	// stays for the next trial.
+	n := len(f.d.Instances)
+	f.weights = f.weights[:min(len(f.weights), n)]
+	for _, cv := range f.cviews {
+		cv.weights = cv.weights[:min(len(cv.weights), n)]
 	}
 	return false, nil
 }

@@ -641,9 +641,7 @@ func (c *Calibrator) reanalyze(k *corner, fm *Model, dirty []int) {
 		return
 	}
 	wdirty := append([]int(nil), dirty...)
-	// Instances past the session's geometry (dead slots appended after it
-	// was built) carry weights but no timing.
-	for i, w := range fm.Weights[:c.sess.NumInstances()] {
+	for i, w := range fm.Weights {
 		if k.mweights[i] != w {
 			wdirty = append(wdirty, i)
 		}

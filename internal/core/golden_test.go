@@ -85,11 +85,7 @@ func calibHashDesign(d *netlist.Design) string {
 		wf(in.Y)
 		wi(in.Output)
 		wi(in.Clock)
-		if in.Dead {
-			wi(1)
-		} else {
-			wi(0)
-		}
+		wi(0) // where the Dead flag was hashed: the golden hashes keep their layout
 		wi(len(in.Inputs))
 		for _, n := range in.Inputs {
 			wi(n)

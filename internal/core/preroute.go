@@ -86,16 +86,14 @@ func (rp *routedProvider) Refresh() error { return rp.derive() }
 // only contributes wire delays, clock arrivals and CRPR credits, none of
 // which a resize moves), so mirroring the cell pointers keeps the golden
 // view exact without re-running the routed analysis. The twin and the
-// dirty IDs are checked against the bound session's geometry, not the live
-// design's: a rejected buffer trial leaves a dead slot in the design that
-// neither the session nor the twin times.
+// dirty IDs are checked against the bound session's geometry.
 func (rp *routedProvider) Update(dirty []int) error {
 	if rp.routed == nil {
 		return nil // nothing derived yet; the next Timer derives fresh
 	}
 	src := rp.sess.G.D
 	n := rp.sess.NumInstances()
-	if len(rp.routed.Instances) < n {
+	if len(rp.routed.Instances) != n {
 		return fmt.Errorf("core: routed golden: twin out of shape (%d vs %d instances)",
 			len(rp.routed.Instances), n)
 	}

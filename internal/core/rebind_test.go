@@ -22,7 +22,7 @@ import (
 func retimeOne(t *testing.T, d *netlist.Design, g *graph.Graph) []int {
 	t.Helper()
 	for _, ff := range d.Instances {
-		if !ff.IsFF() || ff.Dead {
+		if !ff.IsFF() {
 			continue
 		}
 		if len(ff.Inputs) == 0 {
@@ -193,10 +193,7 @@ func requireMatchesCold(t *testing.T, label string, inc, cold *core.Model) {
 	if !sameFloats(inc.MGBA.Slack, cold.MGBA.Slack) {
 		t.Fatalf("%s: mGBA slacks differ from a cold calibration", label)
 	}
-	// The incremental view lives on a session that may predate a dead
-	// slot the cold one times as an empty instance.
-	n := len(inc.MGBA.ArrivalOut)
-	if !sameFloats(inc.MGBA.ArrivalOut, cold.MGBA.ArrivalOut[:n]) {
+	if !sameFloats(inc.MGBA.ArrivalOut, cold.MGBA.ArrivalOut) {
 		t.Fatalf("%s: mGBA arrivals differ from a cold calibration", label)
 	}
 	if len(inc.Selection.Paths) != len(cold.Selection.Paths) {
@@ -214,9 +211,10 @@ func requireMatchesCold(t *testing.T, label string, inc, cold *core.Model) {
 // TestRebindAfterBufferMatchesCold extends the rebind contract to buffer
 // insertion, which appends an instance, following the closure flow's
 // trial protocol. Each step first rejects a trial insertion: the move is
-// reverted and the calibrator stays on its session, so the design now
-// holds a dead slot that session never saw, and a Recalibrate on it must
-// still equal a cold calibration. Then an insertion is accepted: Rebind to
+// reverted, which pops the buffer and its net, and the calibrator stays
+// on its session, so the design is again the one that session was built
+// on, and a Recalibrate on it must still equal a cold calibration. Then an
+// insertion is accepted: Rebind to
 // the rebuilt session plus Recalibrate over the move's dirty set (sinks,
 // driver, buffer) widened with the session diff must equal a cold
 // calibration of the new state. Every call must be served incrementally.
@@ -267,6 +265,10 @@ func TestRebindAfterBufferMatchesCold(t *testing.T) {
 				engine.NewSession(gt).Run(scfg).Release()
 				if err := mv.Revert(&transform.Analysis{D: d, G: g, R: prev.GBA}); err != nil {
 					t.Fatal(err)
+				}
+				if len(d.Instances) != sess.NumInstances() {
+					t.Fatalf("step %d: the reverted trial left %d instances, the session has %d",
+						step, len(d.Instances), sess.NumInstances())
 				}
 				mRej, err := cal.Recalibrate(ctx, nil)
 				if err != nil {

@@ -151,45 +151,30 @@ func BenchmarkFreshSession(b *testing.B) {
 // flow on D3, the way the flow runs it: insert a buffer on a data net,
 // rebuild the graph, Derive the trial session from the flow's (sharing
 // its clock state), Rebase the flow's view onto it, then drop the view
-// and revert the insertion. Each revert leaves a dead instance slot, so
-// the design is regenerated, off the clock, every 64 trials.
+// and revert the insertion. A revert pops the buffer and its net, so
+// every trial runs on the same design.
 func BenchmarkStructuralTrial(b *testing.B) {
 	cfg := engine.DefaultConfig()
-	var (
-		d   *netlist.Design
-		s   *engine.Session
-		r   *engine.Result
-		net int
-		buf *cells.Cell
-	)
-	fresh := func() {
-		var g *graph.Graph
-		d, g = benchDesign(b, gen.Suite()[2]) // D3
-		s = engine.NewSession(g)
-		r = s.Run(cfg)
-		// The output net of the middle combinational gate in topological
-		// order: a data net deep inside the logic cone.
-		var gates []int32
-		for _, v := range g.Topo {
-			if !d.Instances[v].IsFF() {
-				gates = append(gates, v)
-			}
-		}
-		net = d.Instances[gates[len(gates)/2]].Output
-		var err error
-		if buf, err = d.Lib.Pick(cells.Buf, 2); err != nil {
-			b.Fatal(err)
+	d, g := benchDesign(b, gen.Suite()[2]) // D3
+	s := engine.NewSession(g)
+	r := s.Run(cfg)
+	// The output net of the middle combinational gate in topological
+	// order: a data net deep inside the logic cone.
+	var gates []int32
+	for _, v := range g.Topo {
+		if !d.Instances[v].IsFF() {
+			gates = append(gates, v)
 		}
 	}
-	fresh()
+	net := d.Instances[gates[len(gates)/2]].Output
+	buf, err := d.Lib.Pick(cells.Buf, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nInst := len(d.Instances)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i > 0 && i%64 == 0 {
-			b.StopTimer()
-			fresh()
-			b.StartTimer()
-		}
 		bi, err := d.InsertBuffer(net, buf, "")
 		if err != nil {
 			b.Fatal(err)
@@ -205,5 +190,9 @@ func BenchmarkStructuralTrial(b *testing.B) {
 		if err := d.RemoveBuffer(bi); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	if len(d.Instances) != nInst {
+		b.Fatalf("design grew from %d to %d instances over %d trials", nInst, len(d.Instances), b.N)
 	}
 }

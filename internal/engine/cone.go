@@ -75,8 +75,8 @@ func popHigh(set []uint64, w *int) int {
 }
 
 // seedCone marks in cs.fwd every modified instance on the data DAG.
-// Clock buffers, dead slots and IDs outside the session's geometry have
-// no data fanout and no timing of their own, so they seed nothing.
+// Clock buffers and IDs outside the session's geometry have no data
+// fanout and no timing of their own, so they seed nothing.
 func (s *Session) seedCone(cs *coneScratch, modified []int) {
 	for _, v := range modified {
 		if v >= 0 && v < s.nInst && s.topoPos[v] >= 0 {

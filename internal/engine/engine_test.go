@@ -231,10 +231,11 @@ func TestBufferInsertionRebuild(t *testing.T) {
 }
 
 // TestCloneAfterDesignGrowth pins the session geometry: a buffer inserted
-// and then removed under a live session leaves a dead instance slot in the
-// design, which the session (built before it) does not time. Results the
-// session hands out afterwards must keep its original layout, so a clone
-// of an earlier Result and a fresh Run both equal that Result bit for bit.
+// under a live session grows the design past it, and the session (built
+// before the insertion) does not time the new instance. Results the
+// session hands out afterwards must keep its original layout: a clone of
+// an earlier Result equals it bit for bit, and a fresh Run and its clone
+// are as long as the session, not the design.
 func TestCloneAfterDesignGrowth(t *testing.T) {
 	d, g := buildDesign(t, gen.Toy())
 	cfg := engine.DefaultConfig()
@@ -243,35 +244,37 @@ func TestCloneAfterDesignGrowth(t *testing.T) {
 	defer r.Release()
 
 	bufs := d.Lib.Variants(cells.Buf)
-	var b *netlist.Instance
+	grown := false
 	for _, v := range g.Topo {
 		in := d.Instances[v]
 		if in.IsFF() || in.Output < 0 || len(d.Nets[in.Output].Sinks) < 2 {
 			continue
 		}
-		var err error
-		if b, err = d.InsertBuffer(in.Output, bufs[len(bufs)-1], "trial"); err != nil {
+		if _, err := d.InsertBuffer(in.Output, bufs[len(bufs)-1], "grow"); err != nil {
 			t.Fatal(err)
 		}
+		grown = true
 		break
 	}
-	if b == nil {
+	if !grown {
 		t.Fatal("no net suitable for buffering")
 	}
-	if err := d.RemoveBuffer(b); err != nil {
-		t.Fatal(err)
-	}
 	if len(d.Instances) != s.NumInstances()+1 {
-		t.Fatalf("design has %d instances, want the session's %d plus one dead slot",
+		t.Fatalf("design has %d instances, want the session's %d plus the buffer",
 			len(d.Instances), s.NumInstances())
 	}
 
 	cl := r.Clone()
 	defer cl.Release()
+	requireIdentical(t, r, cl, "clone")
 	fresh := s.Run(cfg)
 	defer fresh.Release()
-	requireIdentical(t, r, cl, "clone")
-	requireIdentical(t, r, fresh, "fresh run")
+	if n := len(fresh.ArrivalOut); n != s.NumInstances() {
+		t.Fatalf("a Run after the growth has %d instance slots, want the session's %d", n, s.NumInstances())
+	}
+	fcl := fresh.Clone()
+	defer fcl.Release()
+	requireIdentical(t, fresh, fcl, "clone of a run after the growth")
 }
 
 // TestClockStateCachedAcrossRuns checks that the clock insertion delays and

@@ -27,10 +27,8 @@ import (
 // Result.Update is for.
 //
 // The Session's geometry — its instance and flip-flop counts — is fixed
-// when it is built. Instances the design gains afterwards (the dead slot
-// a reverted buffer insertion leaves behind) lie outside the Session:
-// every per-run buffer it hands out keeps the geometry it was built with,
-// so Results of one Session always share one layout.
+// when it is built: every per-run buffer it hands out keeps it, so
+// Results of one Session always share one layout.
 type Session struct {
 	G      *graph.Graph
 	Depths *graph.Depths
@@ -105,15 +103,14 @@ func readClockBuf(d *netlist.Design, id int32) clockBuf {
 }
 
 // unchanged reports whether the design still holds every recorded clock
-// buffer input bit for bit.
+// buffer input bit for bit. Derive asks only while the design keeps the
+// state's clock chains, so every recorded buffer still drives a net.
 func (cs *clockState) unchanged(d *netlist.Design) bool {
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for _, b := range cs.bufs {
-		if in := d.Instances[b.id]; in.Dead || in.Output < 0 || in.Cell != b.cell {
-			return false
-		}
 		now := readClockBuf(d, b.id)
-		if !same(now.load, b.load) || !same(now.wire, b.wire) || !same(now.x, b.x) || !same(now.y, b.y) {
+		if now.cell != b.cell || !same(now.load, b.load) || !same(now.wire, b.wire) ||
+			!same(now.x, b.x) || !same(now.y, b.y) {
 			return false
 		}
 	}

@@ -97,7 +97,7 @@ func Build(d *netlist.Design) (*Graph, error) {
 		g.ffPos[ff] = int32(i)
 	}
 	for _, in := range d.Instances {
-		if !in.Dead && in.Cell.Kind == cells.ClkBuf {
+		if in.Cell.Kind == cells.ClkBuf {
 			g.isClock[in.ID] = true
 		}
 	}
@@ -108,7 +108,7 @@ func Build(d *netlist.Design) (*Graph, error) {
 	var nEdges int64
 	emit := func(fill bool) error {
 		for _, in := range d.Instances {
-			if in.Dead || g.isClock[in.ID] || in.Output < 0 {
+			if g.isClock[in.ID] || in.Output < 0 {
 				continue
 			}
 			net := d.Nets[in.Output]
@@ -165,7 +165,7 @@ func Build(d *netlist.Design) (*Graph, error) {
 	g.fanoutOff[0], g.faninOff[0] = 0, 0
 	// Reject clock buffers reading from data cells.
 	for _, in := range d.Instances {
-		if in.Dead || !g.isClock[in.ID] {
+		if !g.isClock[in.ID] {
 			continue
 		}
 		src := d.Nets[in.Inputs[0]]
@@ -189,7 +189,7 @@ func (g *Graph) topoSort() error {
 	indeg := make([]int32, len(d.Instances))
 	nData := 0
 	for _, in := range d.Instances {
-		if in.Dead || g.isClock[in.ID] {
+		if g.isClock[in.ID] {
 			continue
 		}
 		nData++
@@ -200,7 +200,7 @@ func (g *Graph) topoSort() error {
 	}
 	queue := make([]int32, 0, nData)
 	for _, in := range d.Instances {
-		if !in.Dead && !g.isClock[in.ID] && indeg[in.ID] == 0 {
+		if !g.isClock[in.ID] && indeg[in.ID] == 0 {
 			queue = append(queue, int32(in.ID))
 		}
 	}

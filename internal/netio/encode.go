@@ -257,10 +257,6 @@ func (e *encoder) design(d *netlist.Design) {
 			e.int(in.Output)
 			e.field("clock")
 			e.int(in.Clock)
-			if in.Dead {
-				e.field("dead")
-				e.buf = append(e.buf, "true"...)
-			}
 			e.close('}')
 			e.flush()
 		}

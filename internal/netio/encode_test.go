@@ -65,6 +65,25 @@ func fitWeights(d *netlist.Design) []float64 {
 	return w
 }
 
+// withBuffers accepts two buffer insertions into d, as a closure run
+// that kept them leaves it: a data buffer on the first flip-flop's Q net,
+// and a second one splitting the net that buffer drives.
+func withBuffers(t testing.TB, d *netlist.Design) *netlist.Design {
+	t.Helper()
+	buf, err := d.Lib.Pick(cells.Buf, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := d.InsertBuffer(d.Instances[d.FFs[0]].Output, buf, "kept_buf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.InsertBuffer(b.Output, buf, ""); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 var serveState = json.RawMessage(`{"source":"D8","applied":1,"calibrated":true}`)
 
 type encoderCase struct {
@@ -95,21 +114,8 @@ func encoderCases(t *testing.T) []encoderCase {
 	add("retimetoy", &netio.Checkpoint{Design: rt, Weights: fitWeights(rt),
 		Kinds: map[string]json.RawMessage{"retime": json.RawMessage(`{"lags":{"3":1,"7":-2}}`)}})
 
-	// A reverted buffer trial leaves a dead instance (output -1, its
-	// input list kept) and a dead net (no driver, no sinks, zero wire).
-	dead := must(fixtures.BufferCase())
-	buf, err := dead.Lib.Pick(cells.Buf, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := dead.InsertBuffer(dead.Instances[dead.FFs[0]].Output, buf, "trial_buf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dead.RemoveBuffer(b); err != nil {
-		t.Fatal(err)
-	}
-	add("dead-slots", &netio.Checkpoint{Design: dead, Weights: fitWeights(dead)})
+	bufs := withBuffers(t, must(fixtures.BufferCase()))
+	add("accepted-buffers", &netio.Checkpoint{Design: bufs, Weights: fitWeights(bufs), State: serveState})
 
 	names := smallDesign(t, "names<&>\u2028\xff")
 	kinds := map[string]json.RawMessage{}
@@ -198,8 +204,9 @@ func firstDiff(got, want []byte) string {
 
 // TestEncoderMatchesEncodingJSON: Save and SaveCheckpoint write exactly
 // the bytes of encoding/json's indented Encoder over the suite designs,
-// both fixtures, a design with dead slots and designs built to hit every
-// escaping, number-format, nil-versus-empty and blob-indentation branch.
+// both fixtures, a design with accepted buffers and designs built to hit
+// every escaping, number-format, nil-versus-empty and blob-indentation
+// branch.
 func TestEncoderMatchesEncodingJSON(t *testing.T) {
 	for _, tc := range encoderCases(t) {
 		t.Run(tc.name, func(t *testing.T) {

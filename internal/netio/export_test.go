@@ -30,7 +30,6 @@ func toFile(d *netlist.Design) fileDesign {
 			Inputs: in.Inputs,
 			Output: in.Output,
 			Clock:  in.Clock,
-			Dead:   in.Dead,
 		})
 	}
 	for _, n := range d.Nets {

@@ -82,9 +82,10 @@ func cloneDesign(d *netlist.Design) *netlist.Design {
 // and placement, one net's parasitics, one weight, the state blob and a
 // per-kind blob and its key, and holds SaveCheckpoint to the
 // encoding/json reference: the same bytes, or an error from both with
-// nothing written. A checkpoint of a valid design loads back, and when
-// its strings are valid UTF-8 (invalid bytes are saved as U+FFFD) saving
-// the loaded checkpoint reproduces the bytes.
+// nothing written. The design carries two accepted buffers. A checkpoint
+// of a valid design loads back, and when its strings are valid UTF-8
+// (invalid bytes are saved as U+FFFD) saving the loaded checkpoint
+// reproduces the bytes.
 func FuzzSaveCheckpoint(f *testing.F) {
 	cfg := gen.Toy()
 	cfg.Gates, cfg.FFs = 80, 10
@@ -93,6 +94,7 @@ func FuzzSaveCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	base = withBuffers(f, base)
 	negZero := math.Copysign(0, -1)
 	f.Add("U7", 12.5, 3.25, 1.0, []byte(`{"round":1}`), "retime", uint16(0))
 	f.Add("a<b>&\u2028\xff", negZero, 1e21, 5e-324, []byte(` {"a" : [1, {}, []], "b": "<\u2029>"} `), "k\x00", uint16(3))

@@ -58,7 +58,6 @@ type fileInstance struct {
 	Inputs []int   `json:"inputs,omitempty"`
 	Output int     `json:"output"`
 	Clock  int     `json:"clock"`
-	Dead   bool    `json:"dead,omitempty"`
 }
 
 type fileNet struct {
@@ -96,7 +95,6 @@ func fromFile(fd *fileDesign) (*netlist.Design, error) {
 			Inputs: fi.Inputs,
 			Output: fi.Output,
 			Clock:  fi.Clock,
-			Dead:   fi.Dead,
 		}
 		d.Instances = append(d.Instances, in)
 	}

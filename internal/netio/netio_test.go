@@ -474,3 +474,27 @@ func TestCheckpointKindsRoundTrip(t *testing.T) {
 		t.Fatalf("kinds blob drifted: %s vs %s", got.Bytes(), want.Bytes())
 	}
 }
+
+// TestCheckpointRefusesDeadSlot: a checkpoint from before reverted buffer
+// trials popped their slots can hold a dead instance (no inputs, output
+// -1, "dead": true) and its dead net. The format has no dead field any
+// more, so such a file must fail to load, never load the slot as a live
+// buffer: the loaded design's validation refuses the buffer's missing
+// input.
+func TestCheckpointRefusesDeadSlot(t *testing.T) {
+	path := filepath.Join("testdata", "dead_slot_checkpoint.json")
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(blob, []byte(`"dead": true`)) {
+		t.Fatal("fixture holds no dead slot")
+	}
+	c, err := netio.LoadCheckpointFile(path)
+	if err == nil || c != nil {
+		t.Fatalf("dead-slot checkpoint loaded (err = %v)", err)
+	}
+	if !strings.Contains(err.Error(), "has 0 inputs") {
+		t.Fatalf("err = %v, want the loaded design's arity check", err)
+	}
+}

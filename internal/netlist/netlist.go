@@ -38,9 +38,9 @@ type Instance struct {
 	Output int   // output net ID (-1 if none, e.g. a sink-only marker)
 	Clock  int   // CK net ID for DFFs, -1 otherwise
 
-	// Dead marks an instance removed from the design (an unwound buffer
-	// insertion). Dead instances keep their ID slot but are skipped by
-	// validation, timing and QoR accounting.
+	// Dead is never set: RemoveBuffer pops the instance it removes, so
+	// every instance of a design is live. The field remains only because
+	// the perfbench module still reads it.
 	Dead bool
 }
 
@@ -69,6 +69,17 @@ type Design struct {
 	Nets      []*Net
 	FFs       []int // instance IDs of all flip-flops, in creation order
 	ClockRoot int   // net ID of the clock source net (-1 until set)
+
+	// splits records every buffer InsertBuffer placed that is still in
+	// the design, in insertion order, with what RemoveBuffer restores.
+	splits []bufferSplit
+}
+
+// bufferSplit is the undo record of one InsertBuffer: the buffer and the
+// parasitics of the net it split as they stood before the split.
+type bufferSplit struct {
+	buf                int
+	wireCap, wireDelay float64
 }
 
 // New returns an empty design bound to a library and derate set.
@@ -228,7 +239,9 @@ func (d *Design) Resize(inst *Instance, to *cells.Cell) error {
 // InsertBuffer splits net at a buffer: the buffer becomes a sink of net and
 // drives a fresh net that takes over all of net's previous sinks. The
 // buffer is placed at the fanout centroid. It returns the new buffer
-// instance. Wire parasitics of both nets are recomputed from placement.
+// instance, which is the design's last instance and drives its last net.
+// Wire parasitics of both nets are recomputed from placement; the split
+// net's previous ones are kept for RemoveBuffer.
 //
 // This is the buffer-insertion transform of the closure flow; it reduces
 // the load (and therefore delay and output slew) of the original driver.
@@ -281,6 +294,7 @@ func (d *Design) InsertBuffer(net int, buf *cells.Cell, name string) (*Instance,
 	if name != "" {
 		in.Name = name
 	}
+	d.splits = append(d.splits, bufferSplit{in.ID, n.WireCap, n.WireDelay})
 	// Refresh parasitics of the split nets.
 	n.WireCap = WireCapPerUm * d.netSpan(n)
 	n.WireDelay = WireDelayPerUm * d.netSpan(n)
@@ -289,16 +303,20 @@ func (d *Design) InsertBuffer(net int, buf *cells.Cell, name string) (*Instance,
 	return in, nil
 }
 
-// RemoveBuffer unwinds an InsertBuffer: the buffer's output-net sinks are
-// rewired back onto its input net and the buffer becomes a dead instance.
-// Only single-input buffer cells inserted by InsertBuffer can be removed.
+// RemoveBuffer unwinds the last InsertBuffer still standing: the
+// buffer's output-net sinks are rewired back onto its input net, that
+// net's parasitics are restored bit for bit, and the buffer and its
+// output net, the design's last instance and last net, are popped. The
+// design is then exactly as the insertion found it. Any other instance,
+// a buffer inserted before the last one included, is refused with an
+// error and the design left unchanged.
 func (d *Design) RemoveBuffer(b *Instance) error {
-	if b.Dead {
-		return fmt.Errorf("netlist: %s already removed", b.Name)
+	last := len(d.splits) - 1
+	if last < 0 || d.splits[last].buf != b.ID || b.ID != len(d.Instances)-1 ||
+		d.Instances[b.ID] != b || b.Output != len(d.Nets)-1 {
+		return fmt.Errorf("netlist: %s is not the last buffer inserted", b.Name)
 	}
-	if b.Cell.Kind != cells.Buf && b.Cell.Kind != cells.ClkBuf {
-		return fmt.Errorf("netlist: %s is not a buffer", b.Name)
-	}
+	split := d.splits[last]
 	src := b.Inputs[0]
 	out := b.Output
 	nn := d.Nets[out]
@@ -323,24 +341,18 @@ func (d *Design) RemoveBuffer(b *Instance) error {
 		}
 		n.Sinks = append(n.Sinks, s)
 	}
-	nn.Sinks = nil
-	nn.Driver = -1
-	nn.WireCap, nn.WireDelay = 0, 0
-	b.Dead = true
-	b.Output = -1
-	b.Inputs = nil
-	// Refresh the rejoined net's parasitics.
-	n.WireCap = WireCapPerUm * d.netSpan(n)
-	n.WireDelay = WireDelayPerUm * d.netSpan(n)
+	n.WireCap, n.WireDelay = split.wireCap, split.wireDelay
+	d.Instances[b.ID], d.Nets[out] = nil, nil
+	d.Instances, d.Nets, d.splits = d.Instances[:b.ID], d.Nets[:out], d.splits[:last]
 	return nil
 }
 
 // Clone returns a deep copy of the design's mutable state — instances,
-// nets, the FF list — sharing the immutable library, derate tables and
-// cell definitions (a resize swaps a cell pointer, never mutates one).
-// Edits to either design are invisible to the other; the cross-stage
-// view pair uses this to keep a perturbed "routed" twin alongside the
-// pre-route design.
+// nets, the FF list, the buffer insertions RemoveBuffer can unwind —
+// sharing the immutable library, derate tables and cell definitions (a
+// resize swaps a cell pointer, never mutates one). Edits to either
+// design are invisible to the other; the cross-stage view pair uses this
+// to keep a perturbed "routed" twin alongside the pre-route design.
 func (d *Design) Clone() *Design {
 	nd := &Design{
 		Name:        d.Name,
@@ -363,6 +375,7 @@ func (d *Design) Clone() *Design {
 		nd.Nets[i] = &cn
 	}
 	nd.FFs = append([]int(nil), d.FFs...)
+	nd.splits = append([]bufferSplit(nil), d.splits...)
 	return nd
 }
 
@@ -370,9 +383,6 @@ func (d *Design) Clone() *Design {
 func (d *Design) Area() float64 {
 	var a float64
 	for _, in := range d.Instances {
-		if in.Dead {
-			continue
-		}
 		a += in.Cell.Area
 	}
 	return a
@@ -382,9 +392,6 @@ func (d *Design) Area() float64 {
 func (d *Design) Leakage() float64 {
 	var l float64
 	for _, in := range d.Instances {
-		if in.Dead {
-			continue
-		}
 		l += in.Cell.Leakage
 	}
 	return l
@@ -396,7 +403,7 @@ func (d *Design) Leakage() float64 {
 func (d *Design) BufferCount() int {
 	n := 0
 	for _, in := range d.Instances {
-		if !in.Dead && in.Cell.Kind == cells.Buf {
+		if in.Cell.Kind == cells.Buf {
 			n++
 		}
 	}
@@ -416,9 +423,6 @@ func (d *Design) Validate() error {
 		return fmt.Errorf("netlist: no flip-flops")
 	}
 	for _, in := range d.Instances {
-		if in.Dead {
-			continue
-		}
 		if got, want := len(in.Inputs), in.Cell.Kind.Inputs(); got != want {
 			return fmt.Errorf("netlist: %s has %d inputs, cell %s wants %d", in.Name, got, in.Cell.Name, want)
 		}
@@ -471,7 +475,7 @@ func (d *Design) checkAcyclic() error {
 	// Iterative DFS to survive deep designs.
 	var stack []int
 	for start := range d.Instances {
-		if color[start] != white || d.Instances[start].IsFF() || d.Instances[start].Dead {
+		if color[start] != white || d.Instances[start].IsFF() {
 			continue
 		}
 		stack = append(stack[:0], start)

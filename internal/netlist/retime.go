@@ -19,12 +19,10 @@ import (
 // inverses, including sink ordering, so a rejected trial restores the
 // design bit-for-bit.
 
-// retimeGateOK screens the gate being slid across: a live single-input
+// retimeGateOK screens the gate being slid across: a single-input
 // combinational cell that is not part of the clock tree.
 func retimeGateOK(g *Instance) error {
 	switch {
-	case g.Dead:
-		return fmt.Errorf("netlist: retime across dead gate %s", g.Name)
 	case g.Cell.Kind.IsSequential():
 		return fmt.Errorf("netlist: retime across sequential cell %s", g.Name)
 	case g.Cell.Kind == cells.ClkBuf:
@@ -67,7 +65,7 @@ func (d *Design) refreshWire(n *Net) {
 // Placements do not move; the parasitics of the three touched nets are
 // recomputed from the unchanged positions.
 func (d *Design) RetimeBackward(ff, g *Instance) error {
-	if !ff.IsFF() || ff.Dead {
+	if !ff.IsFF() {
 		return fmt.Errorf("netlist: retime at non-FF %s", ff.Name)
 	}
 	if err := retimeGateOK(g); err != nil {
@@ -129,7 +127,7 @@ func (d *Design) RetimeBackward(ff, g *Instance) error {
 //
 // The exact inverse of RetimeBackward with the same pair.
 func (d *Design) RetimeForward(ff, g *Instance) error {
-	if !ff.IsFF() || ff.Dead {
+	if !ff.IsFF() {
 		return fmt.Errorf("netlist: retime at non-FF %s", ff.Name)
 	}
 	if err := retimeGateOK(g); err != nil {

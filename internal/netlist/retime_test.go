@@ -14,8 +14,8 @@ import (
 func fingerprint(d *netlist.Design) string {
 	s := fmt.Sprintf("period=%v root=%d\n", d.ClockPeriod, d.ClockRoot)
 	for _, in := range d.Instances {
-		s += fmt.Sprintf("i%d %s in=%v out=%d clk=%d dead=%v xy=%v,%v\n",
-			in.ID, in.Cell.Name, in.Inputs, in.Output, in.Clock, in.Dead, in.X, in.Y)
+		s += fmt.Sprintf("i%d %s in=%v out=%d clk=%d xy=%v,%v\n",
+			in.ID, in.Cell.Name, in.Inputs, in.Output, in.Clock, in.X, in.Y)
 	}
 	for _, n := range d.Nets {
 		s += fmt.Sprintf("n%d drv=%d sinks=%v cap=%v wd=%v\n",

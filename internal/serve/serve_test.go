@@ -59,7 +59,7 @@ func upsizableIDs(t *testing.T, d *netlist.Design, n int) []int {
 		if len(ids) == n {
 			break
 		}
-		if inst.IsFF() || inst.Dead || g.IsClock(id) {
+		if inst.IsFF() || g.IsClock(id) {
 			continue
 		}
 		if d.Lib.Upsize(inst.Cell) == nil {

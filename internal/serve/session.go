@@ -266,10 +266,6 @@ func (s *session) applyOps(ops []Op) ([]OpResult, []int, error) {
 			return nil, nil, fmt.Errorf("op %d: instance %d out of range", i, op.Instance)
 		}
 		inst := s.d.Instances[op.Instance]
-		if inst.Dead {
-			revert()
-			return nil, nil, fmt.Errorf("op %d: instance %d is dead", i, op.Instance)
-		}
 		if s.g.IsClock(op.Instance) {
 			revert()
 			return nil, nil, fmt.Errorf("op %d: instance %d is on the clock network", i, op.Instance)

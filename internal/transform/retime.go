@@ -94,7 +94,7 @@ func (t *Retime) slideGate(d *netlist.Design, ff *netlist.Instance, op int) int 
 		return -1
 	}
 	g := d.Instances[gid]
-	if g.Dead || g.Cell.Kind.IsSequential() || g.Cell.Kind.Inputs() != 1 {
+	if g.Cell.Kind.IsSequential() || g.Cell.Kind.Inputs() != 1 {
 		return -1
 	}
 	return gid
