@@ -38,24 +38,28 @@ type ckptState struct {
 	Skipped []int `json:"skipped,omitempty"`
 }
 
-// fitState is the calibration state a checkpoint records: the selection
-// corner's weights (the envelope's), every extra corner's, the
-// transforms since that calibration, and whether the final phase's
-// calibration has run.
+// fitState is the calibration state a checkpoint records: every view's
+// weights in corner order (the selection corner's go in the envelope, the
+// rest in CornerWeights), the transforms since that calibration, and
+// whether the final phase's calibration has run.
 type fitState struct {
-	weights         []float64
-	cornerWeights   [][]float64
+	weights         [][]float64
 	sinceCalib      int
 	finalCalibrated bool
 }
 
+// split parts the weights as a checkpoint stores them: the selection
+// corner's for the envelope, the extra corners' for CornerWeights.
+func (fs fitState) split() (sel []float64, extra [][]float64) {
+	if len(fs.weights) > 0 {
+		sel, extra = fs.weights[0], fs.weights[1:]
+	}
+	return sel, extra
+}
+
 // liveFit is the flow's current calibration state.
 func (f *flow) liveFit() fitState {
-	var cornerWeights [][]float64
-	for _, cv := range f.cviews {
-		cornerWeights = append(cornerWeights, cv.weights)
-	}
-	return fitState{f.weights, cornerWeights, f.transforms, f.finalCalibrated}
+	return fitState{f.weights(), f.transforms, f.finalCalibrated}
 }
 
 // checkpointFit is the calibration state a checkpoint records: the state
@@ -67,12 +71,20 @@ func (f *flow) checkpointFit() fitState {
 	return f.liveFit()
 }
 
-// restore loads checkpointed flow state and counters into a fresh flow.
-// The historical trio on Result is derived from Kinds, which noteKind
-// keeps in lockstep with it.
+// restore loads checkpointed flow state and counters into a fresh flow:
+// a checkpointed fit becomes one untimed view per corner, which
+// buildTiming times. The historical trio on Result is derived from Kinds,
+// which noteKind keeps in lockstep with it.
 func (f *flow) restore(st *ckptState, weights []float64) {
-	f.weights = weights
-	f.resumeCorners = st.CornerWeights
+	if weights != nil {
+		for i, w := range append([][]float64{weights}, st.CornerWeights...) {
+			v := &cornerView{weights: w}
+			if i < len(f.opt.Core.Corners) {
+				v.name = f.opt.Core.Corners[i].Name
+			}
+			f.views = append(f.views, v)
+		}
+	}
 	if len(st.Skipped) > 0 {
 		f.skip = make(map[int]bool, len(st.Skipped))
 		for _, fi := range st.Skipped {
@@ -139,6 +151,7 @@ func (f *flow) snapshot(fit fitState) ckptState {
 			kinds[k] = n
 		}
 	}
+	_, extra := fit.split()
 	return ckptState{
 		Timer:           int(f.opt.Timer),
 		Phase:           int(f.curPhase),
@@ -153,7 +166,7 @@ func (f *flow) snapshot(fit fitState) ckptState {
 		Degraded:        f.res.DegradedCalibrations,
 		Checkpoints:     f.res.Checkpoints + 1,
 		Faults:          append([]string(nil), f.res.Faults...),
-		CornerWeights:   fit.cornerWeights,
+		CornerWeights:   extra,
 		Skipped:         skipped,
 	}
 }
@@ -194,9 +207,10 @@ func (f *flow) checkpoint() {
 	st := f.snapshot(fit)
 	blob, err := json.Marshal(&st)
 	if err == nil {
+		sel, _ := fit.split()
 		err = netio.SaveCheckpointFile(f.opt.CheckpointPath, &netio.Checkpoint{
 			Design:  f.d,
-			Weights: fit.weights,
+			Weights: sel,
 			State:   blob,
 			Kinds:   f.kindBlobs(),
 		})

@@ -8,20 +8,21 @@ import (
 
 // Multi-corner closure: when Options.Core.Corners names N>=2 corners, the
 // calibrator hands the flow one fitted mGBA view per corner. The flow
-// keeps every extra corner's view advanced in lockstep with the selection
-// corner's (in-place Update for resizes, a Rebase onto a structural
-// trial's session, each under the corner's own fitted weights), schedules
-// repairs against the merged worst-corner slack, and vetoes any transform
-// that regresses a corner's WNS — a move is only accepted when no corner
-// gets worse, so closing the selection corner never reopens another.
-// Checkpoints carry every extra corner's weights, so a resumed run starts
-// with the same views and the same per-corner warm starts.
+// keeps every corner's view in one list, the selection corner's first,
+// and advances them in lockstep (in-place Update for resizes, a Rebase
+// onto a structural trial's session, each under the corner's own config
+// and fitted weights), schedules repairs against the merged worst-corner
+// slack, and vetoes any transform that regresses an extra corner's WNS —
+// a move is only accepted when no corner gets worse, so closing the
+// selection corner never reopens another. Checkpoints carry every view's
+// weights, so a resumed run starts with the same views and the same
+// per-corner warm starts.
 
-// cornerView is one extra corner's live timing view inside the flow.
+// cornerView is one corner's live timing view inside the flow.
 type cornerView struct {
 	name    string
 	cfg     sta.Config // the corner's analysis config, Weights unset
-	weights []float64  // the corner's fitted weights, padded with 1 for appended instances
+	weights []float64  // the corner's fitted weights (nil under GBA), padded with 1 for appended instances
 	r       *sta.Result
 }
 
@@ -32,110 +33,93 @@ type CornerQoR struct {
 	TNS  float64 `json:"tns"`
 }
 
-// adoptCorners takes over the extra corners' fitted views from a fresh
-// calibration, releasing the previous generation's buffers.
-func (f *flow) adoptCorners(model *core.Model) {
-	f.releaseCorners()
-	if len(model.Corners) < 2 {
-		return
+// modelViews returns a calibration's fitted views in corner order: every
+// corner's of a multi-corner fit, else the model's own.
+func modelViews(m *core.Model) []*cornerView {
+	if len(m.Corners) < 2 {
+		return []*cornerView{{cfg: m.Cfg, weights: m.Weights, r: m.MGBA}}
 	}
-	f.cviews = make([]*cornerView, 0, len(model.Corners)-1)
-	for _, cf := range model.Corners[1:] {
-		f.cviews = append(f.cviews, &cornerView{name: cf.Spec.Name, cfg: cf.Cfg, weights: cf.Weights, r: cf.MGBA})
+	views := make([]*cornerView, len(m.Corners))
+	for i, cf := range m.Corners {
+		views[i] = &cornerView{name: cf.Spec.Name, cfg: cf.Cfg, weights: cf.Weights, r: cf.MGBA}
 	}
+	return views
 }
 
-// releaseCorners returns every corner view's buffers to its session pool.
-func (f *flow) releaseCorners() {
-	for _, cv := range f.cviews {
-		if cv.r != nil {
-			cv.r.Release()
+// adopt swaps in a new generation of views, returning the previous one's
+// scratch buffers to its session pool. Safe because the flow is the only
+// holder of its views' Results between refreshes.
+func (f *flow) adopt(views []*cornerView) {
+	for _, v := range f.views {
+		v.r.Release()
+	}
+	f.views = views
+}
+
+// weights lists every view's weights in corner order.
+func (f *flow) weights() [][]float64 {
+	var out [][]float64
+	for _, v := range f.views {
+		out = append(out, v.weights)
+	}
+	return out
+}
+
+// config returns the view's analysis config under its weights, padded
+// with 1 up to n instances for those created since its calibration.
+func (v *cornerView) config(n int) sta.Config {
+	cfg := v.cfg
+	if v.weights != nil {
+		for len(v.weights) < n {
+			v.weights = append(v.weights, 1)
 		}
+		cfg.Weights = v.weights
 	}
-	f.cviews = nil
-}
-
-// restoreCorners rebuilds a resumed run's extra-corner views from its
-// checkpointed weights: each corner's config from the calibrator, timed
-// under the corner's own weights on the current session. These are full
-// runs: a resumed run has no view to rebase.
-func (f *flow) restoreCorners() {
-	cfgs := f.cal.CornerConfigs()
-	for i, w := range f.resumeCorners {
-		cv := &cornerView{name: f.opt.Core.Corners[i+1].Name, cfg: cfgs[i+1], weights: w}
-		cv.r = f.sess.Run(f.cornerConfig(cv))
-		f.cviews = append(f.cviews, cv)
-	}
-	f.resumeCorners = nil
-}
-
-// cornerConfig returns the corner's analysis config under its own
-// weights, padded with 1 for instances created since its calibration.
-func (f *flow) cornerConfig(cv *cornerView) sta.Config {
-	cv.weights = padWeights(cv.weights, len(f.d.Instances))
-	cfg := cv.cfg
-	cfg.Weights = cv.weights
 	return cfg
 }
 
-// rebaseCorners carries every corner's view over to a structural trial's
-// session (see Result.Rebase), without touching the flow's own views.
-func (f *flow) rebaseCorners(sess *engine.Session, edited []int) []*sta.Result {
-	if len(f.cviews) == 0 {
-		return nil
+// update advances every view in place over a connectivity-preserving
+// move's dirty set.
+func (f *flow) update(mod []int) {
+	for _, v := range f.views {
+		v.r.Update(mod)
 	}
-	out := make([]*sta.Result, len(f.cviews))
-	for i, cv := range f.cviews {
-		out[i] = cv.r.Rebase(sess, f.cornerConfig(cv), edited)
-	}
-	return out
 }
 
-// cornerWNS snapshots each corner's WNS before a trial.
+// rebase carries every view over to a structural trial's session (see
+// Result.Rebase), padding the views' weights to the trial design but
+// leaving their results as they are.
+func (f *flow) rebase(sess *engine.Session, edited []int) []*cornerView {
+	trial := make([]*cornerView, len(f.views))
+	for i, v := range f.views {
+		cfg := v.config(len(f.d.Instances))
+		tv := *v
+		tv.r = v.r.Rebase(sess, cfg, edited)
+		trial[i] = &tv
+	}
+	return trial
+}
+
+// cornerWNS snapshots each extra corner's WNS before a trial.
 func (f *flow) cornerWNS() []float64 {
-	if len(f.cviews) == 0 {
+	if len(f.views) < 2 {
 		return nil
 	}
-	out := make([]float64, len(f.cviews))
-	for i, cv := range f.cviews {
-		out[i] = cv.r.WNS
+	out := make([]float64, len(f.views)-1)
+	for i, v := range f.views[1:] {
+		out[i] = v.r.WNS
 	}
 	return out
 }
 
-// updateCorners advances every corner view in place over a
-// connectivity-preserving move's dirty set.
-func (f *flow) updateCorners(mod []int) {
-	for _, cv := range f.cviews {
-		cv.r.Update(mod)
-	}
-}
-
-// cornersRegressed is the acceptance veto: true when any corner's WNS
-// fell below where it stood before the trial (a failing corner may not
-// get worse; a passing corner may not start failing). The epsilon
-// absorbs the engine's floating-point noise.
-func (f *flow) cornersRegressed(before []float64) bool {
-	for i, cv := range f.cviews {
-		if regressedWNS(before[i], cv.r.WNS) {
-			return true
-		}
-	}
-	return false
-}
-
-func regressedWNS(before, after float64) bool {
-	floor := before
-	if floor > 0 {
-		floor = 0
-	}
-	return after < floor-1e-9
-}
-
-// vetoedByCorners folds the veto over a trial session's corner results.
-func vetoedByCorners(before []float64, after []*sta.Result) bool {
-	for i, r := range after {
-		if regressedWNS(before[i], r.WNS) {
+// vetoed is the acceptance veto over a trial's views: true when any
+// extra corner's WNS fell below where it stood before the trial (a
+// failing corner may not get worse; a passing corner may not start
+// failing). The epsilon absorbs the engine's floating-point noise.
+func vetoed(before []float64, views []*cornerView) bool {
+	for i, b := range before {
+		floor := min(b, 0)
+		if views[i+1].r.WNS < floor-1e-9 {
 			return true
 		}
 	}
@@ -147,16 +131,17 @@ func vetoedByCorners(before []float64, after []*sta.Result) bool {
 // corners are live, the flow's own view otherwise. The buffer is reused
 // across calls; callers must not retain it.
 func (f *flow) mergedSlack() []float64 {
-	if len(f.cviews) == 0 {
-		return f.r.Slack
+	sel := f.sel().Slack
+	if len(f.views) < 2 {
+		return sel
 	}
-	if cap(f.mergedBuf) < len(f.r.Slack) {
-		f.mergedBuf = make([]float64, len(f.r.Slack))
+	if cap(f.mergedBuf) < len(sel) {
+		f.mergedBuf = make([]float64, len(sel))
 	}
-	merged := f.mergedBuf[:len(f.r.Slack)]
-	copy(merged, f.r.Slack)
-	for _, cv := range f.cviews {
-		for i, s := range cv.r.Slack {
+	merged := f.mergedBuf[:len(sel)]
+	copy(merged, sel)
+	for _, v := range f.views[1:] {
+		for i, s := range v.r.Slack {
 			if s < merged[i] {
 				merged[i] = s
 			}
@@ -165,14 +150,14 @@ func (f *flow) mergedSlack() []float64 {
 	return merged
 }
 
-// cornerQoR reports each live corner's final timing for the Result.
+// cornerQoR reports each extra corner's final timing for the Result.
 func (f *flow) cornerQoR() []CornerQoR {
-	if len(f.cviews) == 0 {
+	if len(f.views) < 2 {
 		return nil
 	}
-	out := make([]CornerQoR, len(f.cviews))
-	for i, cv := range f.cviews {
-		out[i] = CornerQoR{Name: cv.name, WNS: cv.r.WNS, TNS: cv.r.TNS}
+	out := make([]CornerQoR, len(f.views)-1)
+	for i, v := range f.views[1:] {
+		out[i] = CornerQoR{Name: v.name, WNS: v.r.WNS, TNS: v.r.TNS}
 	}
 	return out
 }

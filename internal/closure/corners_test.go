@@ -37,19 +37,19 @@ func TestStructuralTrialKeepsCornerWeights(t *testing.T) {
 	if err := f.buildTiming(false); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.cviews) != 1 {
-		t.Fatalf("%d extra corner views, want 1", len(f.cviews))
+	if len(f.views) != 2 {
+		t.Fatalf("%d corner views, want 2", len(f.views))
 	}
 	distinct := false
-	for i, w := range f.cviews[0].weights {
-		distinct = distinct || w != f.weights[i]
+	for i, w := range f.views[1].weights {
+		distinct = distinct || w != f.views[0].weights[i]
 	}
 	if !distinct {
 		t.Fatal("the corners' fits coincide; the check cannot tell their weights apart")
 	}
 
 	accepted := map[string]int{}
-	for _, fi := range f.r.ViolatingEndpoints() {
+	for _, fi := range f.views[0].r.ViolatingEndpoints() {
 		path := transform.WorstPath(f.analysis(), fi)
 		for _, tr := range f.reg.Repair {
 			if !tr.ConnectivityChanging() {
@@ -65,13 +65,13 @@ func TestStructuralTrialKeepsCornerWeights(t *testing.T) {
 				}
 				accepted[tr.Kind()]++
 				sel := f.cal.CornerConfigs()[0]
-				sel.Weights = f.weights
+				sel.Weights = f.views[0].weights
 				fresh := f.sess.Run(sel)
-				if !sameResult(f.r, fresh) {
+				if !sameResult(f.views[0].r, fresh) {
 					t.Fatalf("selection corner after an accepted %s: view differs from a fresh run under its config", tr.Kind())
 				}
 				fresh.Release()
-				for _, cv := range f.cviews {
+				for _, cv := range f.views[1:] {
 					cfg := cv.cfg
 					cfg.Weights = cv.weights
 					fresh := f.sess.Run(cfg)

@@ -43,14 +43,14 @@ type flow struct {
 	sched   Scheduler
 	kindObs map[string]kindMetrics
 
-	g       *graph.Graph
-	sess    *engine.Session
-	r       *sta.Result
-	weights []float64 // nil for GBA
-	// selCfg is the selection corner's analysis config, Weights unset:
-	// the config the calibrator times the flow's view under (corner 0's
-	// derates and uncertainty), recorded when the calibrator is created.
-	selCfg sta.Config
+	g    *graph.Graph
+	sess *engine.Session
+	// views holds one live timing view per corner, the selection corner
+	// first: the one view under GBA and in a single-corner run, every
+	// corner's fitted mGBA view in a multi-corner run (see corners.go).
+	// mergedBuf is the reused worst-corner slack buffer.
+	views     []*cornerView
+	mergedBuf []float64
 
 	// cal is the persistent mGBA calibrator; nil until the first
 	// calibration. calStale marks it as bound to a session an accepted
@@ -62,16 +62,6 @@ type flow struct {
 	cal      *core.Calibrator
 	calStale bool
 	dirty    map[int]bool
-
-	// cviews holds the extra corners' live mGBA views of a multi-corner
-	// run (empty otherwise), kept in lockstep with r; mergedBuf is the
-	// reused worst-corner slack buffer (see corners.go).
-	cviews    []*cornerView
-	mergedBuf []float64
-
-	// resumeCorners holds a resumed run's checkpointed extra-corner
-	// weights until buildTiming rebuilds the corner views from them.
-	resumeCorners [][]float64
 
 	res        *Result
 	transforms int // transforms since the last recalibration
@@ -95,30 +85,24 @@ type flow struct {
 	sinceCkpt       int // accepted transforms since the last checkpoint
 }
 
-// retire swaps in a freshly computed timing view, returning the previous
-// one's scratch buffers to its session pool. Safe because the flow is the
-// only holder of its Result between refreshes.
-func (f *flow) retire(next *sta.Result) {
-	if f.r != nil {
-		f.r.Release()
-	}
-	f.r = next
-}
+// sel is the selection corner's live view: the one transforms are
+// proposed on and accepted against.
+func (f *flow) sel() *sta.Result { return f.views[0].r }
 
 // analysis bundles the flow's current timing view for transform calls.
 // Rebuilt at each use: connectivity-changing trials replace G and R.
 func (f *flow) analysis() *transform.Analysis {
-	return &transform.Analysis{D: f.d, G: f.g, R: f.r}
+	return &transform.Analysis{D: f.d, G: f.g, R: f.sel()}
 }
 
-// snap captures the acceptance snapshot for endpoint fi (NaN slack for
-// recovery-pass calls, which carry no target endpoint).
-func (f *flow) snap(fi int) transform.Snapshot {
+// snap captures the acceptance snapshot of r for endpoint fi (NaN slack
+// for recovery-pass calls, which carry no target endpoint).
+func snap(r *sta.Result, fi int) transform.Snapshot {
 	s := math.NaN()
 	if fi >= 0 {
-		s = f.r.Slack[fi]
+		s = r.Slack[fi]
 	}
-	return transform.Snapshot{Slack: s, WNS: f.r.WNS, TNS: f.r.TNS}
+	return transform.Snapshot{Slack: s, WNS: r.WNS, TNS: r.TNS}
 }
 
 // stopped reports whether the run's context has been cancelled, latching
@@ -346,25 +330,28 @@ func newFlow(ctx context.Context, d *netlist.Design, opt Options) (*flow, error)
 }
 
 // buildTiming builds the timing graph and session of the design the run
-// starts from, and its first timing view: a calibration (a plain analysis
+// starts from, and its first timing views: a calibration (a plain analysis
 // under GBA). A resumed mGBA run instead restores where the interrupted
 // run stood, preserving its calibration cadence: a calibrator whose every
-// corner is warm-started from the checkpointed fits, the selection view
-// re-timed under its weights, and each extra corner's view re-timed under
-// its own. A calibration the checkpoint's cadence says is due runs
-// before anything else.
+// corner is warm-started from the checkpointed fits, and every view
+// re-timed under its corner's config and its own weights — full runs, for
+// a resumed run has no view to rebase. A calibration the checkpoint's
+// cadence says is due runs before anything else.
 func (f *flow) buildTiming(resumed bool) error {
 	g, err := graph.Build(f.d)
 	if err != nil {
 		return err
 	}
 	f.g, f.sess = g, engine.NewSession(g)
-	if resumed && f.opt.Timer == TimerMGBA && f.weights != nil {
+	if resumed && f.opt.Timer == TimerMGBA && len(f.views) > 0 {
 		if err := f.newCalibrator(); err != nil {
 			return err
 		}
-		f.retire(f.sess.Run(f.weightedConfig()))
-		f.restoreCorners()
+		cfgs := f.cal.CornerConfigs()
+		for i, v := range f.views {
+			v.cfg = cfgs[i]
+			v.r = f.sess.Run(v.config(len(f.d.Instances)))
+		}
 		return f.maybeRecalibrate()
 	}
 	return f.calibrate()
@@ -378,34 +365,9 @@ func (f *flow) newCalibrator() error {
 	if err != nil {
 		return err
 	}
-	if f.weights != nil {
-		cal.SetWarmWeights(append([][]float64{f.weights}, f.resumeCorners...)...)
-	}
+	cal.SetWarmWeights(f.weights()...)
 	f.cal = cal
-	f.selCfg = cal.CornerConfigs()[0]
 	return nil
-}
-
-// weightedConfig returns the analysis config the flow times under: the
-// selection corner's config under the current mGBA weights, padded with 1
-// for instances created since the last calibration, or the plain config
-// under GBA.
-func (f *flow) weightedConfig() sta.Config {
-	if f.opt.Timer != TimerMGBA || f.weights == nil {
-		return f.opt.STA
-	}
-	f.weights = padWeights(f.weights, len(f.d.Instances))
-	cfg := f.selCfg
-	cfg.Weights = f.weights
-	return cfg
-}
-
-// padWeights extends w with identity weights up to n instances.
-func padWeights(w []float64, n int) []float64 {
-	for len(w) < n {
-		w = append(w, 1)
-	}
-	return w
 }
 
 // calibrate refreshes the mGBA weights (or simply re-analyzes under GBA),
@@ -421,7 +383,7 @@ func padWeights(w []float64, n int) []float64 {
 // recorded in the Result.
 func (f *flow) calibrate() error {
 	if f.opt.Timer == TimerGBA {
-		f.retire(f.sess.Run(f.opt.STA))
+		f.adopt([]*cornerView{{cfg: f.opt.STA, r: f.sess.Run(f.opt.STA)}})
 		return nil
 	}
 	t0 := time.Now()
@@ -460,12 +422,10 @@ func (f *flow) calibrate() error {
 	if model.Partial {
 		f.owed = &start
 	}
-	f.weights = model.Weights
-	f.retire(model.MGBA)
-	f.adoptCorners(model)
 	// The calibration's baseline GBA stays with the calibrator, which
-	// advances it incrementally across recalibrations; the flow must not
-	// release it.
+	// advances it incrementally across recalibrations; the flow takes
+	// only the fitted views.
+	f.adopt(modelViews(model))
 	f.dirty = nil
 	f.transforms = 0
 	return nil
@@ -555,9 +515,9 @@ func (f *flow) validateViolators() int {
 	t0 := time.Now()
 	f.res.Validations++
 	obsValidations.Inc()
-	an := pba.NewAnalyzer(f.r)
+	an := pba.NewAnalyzer(f.sel())
 	real := 0
-	for fi, s := range f.r.Slack {
+	for fi, s := range f.sel().Slack {
 		if s >= 0 {
 			continue
 		}
@@ -626,7 +586,7 @@ func (f *flow) repairEndpoint(fi int) (bool, error) {
 //     graph-state diff.
 func (f *flow) tryCandidate(tr transform.Transform, fi int, c transform.Candidate) (bool, error) {
 	a := f.analysis()
-	before := f.snap(fi)
+	before := snap(a.R, fi)
 	mv, err := tr.Apply(a, c)
 	if err != nil {
 		return false, err
@@ -637,16 +597,14 @@ func (f *flow) tryCandidate(tr transform.Transform, fi int, c transform.Candidat
 	if !tr.ConnectivityChanging() {
 		mod := mv.DirtySet()
 		cwns := f.cornerWNS()
-		f.r.Update(mod)
-		f.updateCorners(mod)
-		if tr.Accept(before, f.snap(fi)) && !f.cornersRegressed(cwns) {
+		f.update(mod)
+		if tr.Accept(before, snap(a.R, fi)) && !vetoed(cwns, f.views) {
 			f.noteDirty(mod)
 			return true, nil
 		}
 		f.noteReject(tr.Kind())
 		if rerr := mv.Revert(a); rerr == nil {
-			f.r.Update(mod)
-			f.updateCorners(mod)
+			f.update(mod)
 		} else {
 			// The design kept the trial cell: the gate is dirty after all.
 			f.noteDirty(mod)
@@ -668,7 +626,7 @@ func (f *flow) tryCandidate(tr transform.Transform, fi int, c transform.Candidat
 // whose timing the move could have changed, which is what makes the
 // subsequent incremental recalibration bit-identical to a cold one. On
 // rejection the move is reverted, leaving the design exactly as the trial
-// found it, and the pre-trial session, timing view and calibrator simply
+// found it, and the pre-trial session, timing views and calibrator simply
 // remain in place; the weight vectors drop the padding the trial gave
 // them.
 func (f *flow) tryStructural(tr transform.Transform, fi int, mv transform.Move, before transform.Snapshot) (bool, error) {
@@ -678,24 +636,15 @@ func (f *flow) tryStructural(tr transform.Transform, fi int, mv transform.Move, 
 	}
 	newSess := f.sess.Derive(g2)
 	edited := mv.DirtySet()
-	newR := f.r.Rebase(newSess, f.weightedConfig(), edited)
-	after := transform.Snapshot{Slack: math.NaN(), WNS: newR.WNS, TNS: newR.TNS}
-	if fi >= 0 {
-		after.Slack = newR.Slack[fi]
-	}
 	cwns := f.cornerWNS()
-	newCViews := f.rebaseCorners(newSess, edited)
-	if tr.Accept(before, after) && !vetoedByCorners(cwns, newCViews) {
+	trial := f.rebase(newSess, edited)
+	if tr.Accept(before, snap(trial[0].r, fi)) && !vetoed(cwns, trial) {
 		dirty := append([]int(nil), edited...)
 		dirty = append(dirty, engine.DerateDiff(f.sess, newSess)...)
-		f.retire(nil)
-		for i, cv := range f.cviews {
-			// The old views belong to the superseded session; swap in the
-			// trial session's.
-			cv.r.Release()
-			cv.r = newCViews[i]
-		}
-		f.g, f.sess, f.r = g2, newSess, newR
+		// The old views belong to the superseded session; swap in the
+		// trial session's.
+		f.adopt(trial)
+		f.g, f.sess = g2, newSess
 		if f.cal != nil {
 			f.calStale = true
 		}
@@ -703,9 +652,8 @@ func (f *flow) tryStructural(tr transform.Transform, fi int, mv transform.Move, 
 		return true, nil
 	}
 	f.noteReject(tr.Kind())
-	newR.Release()
-	for _, r := range newCViews {
-		r.Release()
+	for _, v := range trial {
+		v.r.Release()
 	}
 	if err := mv.Revert(f.analysis()); err != nil {
 		return false, err
@@ -713,9 +661,8 @@ func (f *flow) tryStructural(tr transform.Transform, fi int, mv transform.Move, 
 	// Drop the weights padded for the popped instances; the capacity
 	// stays for the next trial.
 	n := len(f.d.Instances)
-	f.weights = f.weights[:min(len(f.weights), n)]
-	for _, cv := range f.cviews {
-		cv.weights = cv.weights[:min(len(cv.weights), n)]
+	for _, v := range f.views {
+		v.weights = v.weights[:min(len(v.weights), n)]
 	}
 	return false, nil
 }
@@ -725,15 +672,13 @@ func (f *flow) tryStructural(tr transform.Transform, fi int, mv transform.Move, 
 // always runs, interrupted or not: a cancelled run still reports honest
 // final numbers for the state it leaves the design in.
 func (f *flow) finish() {
-	f.res.TimerWNS = f.r.WNS
-	f.res.TimerTNS = f.r.TNS
+	f.res.TimerWNS = f.sel().WNS
+	f.res.TimerTNS = f.sel().TNS
 	f.res.ViolatedEndpoints = f.violatedCount()
 	f.res.Area = f.d.Area()
 	f.res.Leakage = f.d.Leakage()
 	f.res.Buffers = f.d.BufferCount()
-	if f.opt.Timer == TimerMGBA {
-		f.res.Weights = f.weights
-	}
+	f.res.Weights = f.views[0].weights // nil under GBA
 	f.res.Corners = f.cornerQoR()
 
 	f.res.SignoffWNS, f.res.SignoffTNS = signoff(f.sess, f.opt.STA)

@@ -25,7 +25,7 @@ func (f *flow) recoverArea() error {
 		if inst.IsFF() || f.g.IsClock(v) {
 			continue
 		}
-		slack := f.r.InstanceSlack(v)
+		slack := f.sel().InstanceSlack(v)
 		if math.IsInf(slack, 1) || slack < f.opt.RecoveryMargin {
 			continue
 		}

@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,10 +48,11 @@ func d3(t *testing.T) *netlist.Design {
 	return d
 }
 
-// runKilledAndResumed runs the flow, cancels it at the kill-th checkpoint
-// (before it starts for kill 0) and resumes it from the exit checkpoint
-// until it completes.
-func runKilledAndResumed(t *testing.T, opt closure.Options, kill int) *closure.Result {
+// runKilledAndResumed runs the flow on d, cancels it at the kill-th
+// checkpoint (before it starts for kill 0) and resumes it from the exit
+// checkpoint until it completes. It returns the result and the path of
+// the exit checkpoint.
+func runKilledAndResumed(t *testing.T, d *netlist.Design, opt closure.Options, kill int) (*closure.Result, string) {
 	t.Helper()
 	opt.CheckpointPath = filepath.Join(t.TempDir(), "ckpt.json")
 	ctx, cancel := context.WithCancel(context.Background())
@@ -62,7 +66,7 @@ func runKilledAndResumed(t *testing.T, opt closure.Options, kill int) *closure.R
 			cancel()
 		}
 	}
-	res, err := closure.Run(ctx, d3(t), opt)
+	res, err := closure.Run(ctx, d, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,41 +82,45 @@ func runKilledAndResumed(t *testing.T, opt closure.Options, kill int) *closure.R
 			t.Fatal(err)
 		}
 	}
-	return res
+	return res, opt.CheckpointPath
 }
 
 // resumeDiff names the first QoR field in which a resumed run differs
-// from the uninterrupted one, or returns "".
+// from the uninterrupted one, floats bit for bit, or returns "".
 func resumeDiff(ref, res *closure.Result) string {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	switch {
-	case res.Transforms != ref.Transforms:
-		return fmt.Sprintf("transforms %d, uninterrupted %d", res.Transforms, ref.Transforms)
-	case res.Area != ref.Area:
+	case res.Transforms != ref.Transforms || !maps.Equal(res.Kinds, ref.Kinds):
+		return fmt.Sprintf("transforms %d %v, uninterrupted %d %v", res.Transforms, res.Kinds, ref.Transforms, ref.Kinds)
+	case !same(res.Area, ref.Area):
 		return fmt.Sprintf("area %v, uninterrupted %v", res.Area, ref.Area)
-	case res.TimerWNS != ref.TimerWNS || res.TimerTNS != ref.TimerTNS:
+	case !same(res.TimerWNS, ref.TimerWNS) || !same(res.TimerTNS, ref.TimerTNS):
 		return fmt.Sprintf("timer WNS/TNS %v/%v, uninterrupted %v/%v", res.TimerWNS, res.TimerTNS, ref.TimerWNS, ref.TimerTNS)
 	case len(res.Corners) != len(ref.Corners):
 		return fmt.Sprintf("%d corners, uninterrupted %d", len(res.Corners), len(ref.Corners))
 	}
 	for i, c := range ref.Corners {
-		if got := res.Corners[i]; got != c {
+		if got := res.Corners[i]; got.Name != c.Name || !same(got.WNS, c.WNS) || !same(got.TNS, c.TNS) {
 			return fmt.Sprintf("corner %s WNS/TNS %v/%v, uninterrupted %v/%v", c.Name, got.WNS, got.TNS, c.WNS, c.TNS)
 		}
+	}
+	if !slices.EqualFunc(res.Weights, ref.Weights, same) {
+		return "final weights"
 	}
 	return ""
 }
 
 // TestMultiCornerResumeMatchesUninterrupted: a run killed at a checkpoint
-// and resumed must end where the uninterrupted run ends — transforms,
-// area, timer WNS/TNS and every corner's WNS/TNS. The uninterrupted run
-// advances its corner views by incremental updates between calibrations,
-// the resumed one rebuilds them with full runs, so this also pins
-// Update == Run inside the flow. The kill points include ones where the
-// interrupted repair pass had already given up on some endpoints (10, and
-// 8 under JointFit), which the resumed pass must skip too, and ones that
-// land on a calibration point (6 and 14), whose cancelled calibration the
-// resumed run must redo. The single-corner legs cover the same kill at 6
-// and a run cancelled before it starts.
+// and resumed must end where the uninterrupted run ends — transforms and
+// kinds, area, timer WNS/TNS, every corner's WNS/TNS and the final
+// weights. The uninterrupted run advances its corner views by incremental
+// updates between calibrations, the resumed one rebuilds them with full
+// runs, so this also pins Update == Run inside the flow. The kill points
+// include ones where the interrupted repair pass had already given up on
+// some endpoints (10, and 8 under JointFit), which the resumed pass must
+// skip too, and ones that land on a calibration point (6 and 14), whose
+// cancelled calibration the resumed run must redo. The single-corner legs
+// cover the same kill at 6 and a run cancelled before it starts.
 func TestMultiCornerResumeMatchesUninterrupted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fourteen D3 closure runs and their resumes")
@@ -138,7 +146,8 @@ func TestMultiCornerResumeMatchesUninterrupted(t *testing.T) {
 			t.Fatalf("%d extra corners reported, want %d", len(ref.Corners), c.corners-1)
 		}
 		for _, kill := range c.kills {
-			if diff := resumeDiff(ref, runKilledAndResumed(t, opt, kill)); diff != "" {
+			res, _ := runKilledAndResumed(t, d3(t), opt, kill)
+			if diff := resumeDiff(ref, res); diff != "" {
 				t.Errorf("%d corners, JointFit %v, killed at checkpoint %d: %s", c.corners, c.joint, kill, diff)
 			}
 		}

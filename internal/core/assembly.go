@@ -62,7 +62,7 @@ func (a *assembler) add(groups [][]*pba.Path, tg [][][]*pba.Timing) error {
 			for k, kc := range a.c.corners {
 				s := &a.sys[k]
 				tm := tg[k][gi][j]
-				idx, val, target, guard := kc.cheap.Row(kc.gba, g, epsilon, a.colOf, p, tm)
+				idx, val, target, guard := pathRow(kc.gba, g, epsilon, a.colOf, p, tm)
 				if a.recal {
 					faultinject.Slice(faultinject.RecalibrateRow, val)
 				}

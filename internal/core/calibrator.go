@@ -56,13 +56,13 @@ type Calibrator struct {
 	stats CalibratorStats
 }
 
-// corner is one analysis corner of a calibration: its bound views, the
+// corner is one analysis corner of a calibration: its config (the cheap
+// view is the session's analysis under it), its bound golden view, the
 // warm start of its next solve and, while the cache is valid, its cached
 // baseline, weighted re-analysis and golden retimings.
 type corner struct {
 	spec   CornerSpec
 	cfg    sta.Config
-	cheap  CheapView
 	golden GoldenProvider
 	warm   []float64 // per-instance weights seeding the next solve
 
@@ -129,13 +129,11 @@ func newBoundCalibrator(s *engine.Session, cfg sta.Config, opt Options, oneShot 
 		if err != nil {
 			return nil, err
 		}
-		cheap, golden, err := vp.Bind(s, ccfg, opt)
+		golden, err := vp.Bind(s, ccfg, opt)
 		if err != nil {
 			return nil, err
 		}
-		c.corners = append(c.corners, &corner{
-			spec: spec, cfg: ccfg, cheap: cheap, golden: golden, warm: opt.WarmWeights,
-		})
+		c.corners = append(c.corners, &corner{spec: spec, cfg: ccfg, golden: golden, warm: opt.WarmWeights})
 	}
 	return c, nil
 }
@@ -199,7 +197,6 @@ func (c *Calibrator) Rebind(s *engine.Session) error {
 		s.NumInstances() >= c.sess.NumInstances()
 	c.sess = s
 	for _, k := range c.corners {
-		k.cheap.Rebind(s)
 		if err := k.golden.Rebind(s); err != nil {
 			return err
 		}
@@ -217,7 +214,7 @@ func (c *Calibrator) Rebind(s *engine.Session) error {
 	if c.groups != nil {
 		obsCalibRebinds.Inc()
 		for _, k := range c.corners {
-			k.gba = k.cheap.Run()
+			k.gba = c.sess.Run(k.cfg)
 		}
 	}
 	return nil
@@ -268,7 +265,7 @@ func (c *Calibrator) coldFit(ctx context.Context, sp *obs.Span, sel *pathsel.Sel
 	// One baseline timing run per corner is the minimum for a usable model
 	// and the atomic unit of cancellation: it always runs to completion.
 	for _, k := range c.corners {
-		k.gba = k.cheap.Run()
+		k.gba = c.sess.Run(k.cfg)
 	}
 	m := c.newModel(c.corners[0])
 	if cancelled(ctx) {

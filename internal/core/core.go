@@ -1,8 +1,8 @@
 // Package core implements the paper's contribution — the modified
 // graph-based analysis (mGBA) slack model of §3.1 and the calibration
 // flow of §3.4 — generalized into a cross-stage slack-correction engine:
-// a cheap timing view is fitted against a golden one through a pluggable
-// (CheapView, GoldenProvider) pair, so the same machinery that corrects
+// the session's own (cheap) analysis is fitted against a golden view that
+// a pluggable view pair provides, so the same machinery that corrects
 // GBA against PBA retiming (the paper's instance, and the default pair)
 // also corrects a pre-route analysis against a routed twin of the design
 // (the "preroute" pair).
@@ -77,14 +77,13 @@ func (m Method) String() string {
 // Options parameterizes a calibration. DefaultOptions matches the paper's
 // settings (k' = 20, epsilon-guarded constraints, SCG+RS solver).
 type Options struct {
-	K              int     // k': worst paths kept per endpoint (20)
-	MaxPaths       int     // m' bound: a larger selected population is an error; <=0 means none
-	CapPerEndpoint int     // safety cap for violated-path enumeration
-	Epsilon        float64 // eps of Eq. (5): relative optimism tolerance
-	Penalty        float64 // w of Eq. (6)
-	Method         Method
-	Solver         solver.Options
-	Seed           uint64
+	K        int     // k': worst paths kept per endpoint (20)
+	MaxPaths int     // m' bound: a larger selected population is an error; <=0 means none
+	Epsilon  float64 // eps of Eq. (5): relative optimism tolerance
+	Penalty  float64 // w of Eq. (6)
+	Method   Method
+	Solver   solver.Options
+	Seed     uint64
 
 	// ViewPair names the registered (cheap, golden) view pair the
 	// calibration corrects between; "" selects DefaultViewPair, the
@@ -145,16 +144,15 @@ type Options struct {
 // DefaultOptions returns the paper's calibration parameters.
 func DefaultOptions() Options {
 	return Options{
-		K:              20,
-		MaxPaths:       5_000_000,
-		CapPerEndpoint: 2000,
-		Epsilon:        0.02,
-		Penalty:        50,
-		Method:         MethodSCGRS,
-		Solver:         solver.DefaultOptions(),
-		Seed:           1,
-		MinWeight:      0.1,
-		MaxWeight:      2.0,
+		K:         20,
+		MaxPaths:  5_000_000,
+		Epsilon:   0.02,
+		Penalty:   50,
+		Method:    MethodSCGRS,
+		Solver:    solver.DefaultOptions(),
+		Seed:      1,
+		MinWeight: 0.1,
+		MaxWeight: 2.0,
 	}
 }
 
@@ -186,8 +184,9 @@ type Model struct {
 	// Corners holds the per-corner fits of a multi-corner calibration
 	// (Corners[0] mirrors the model's own selection-corner fit); nil in
 	// single-corner mode. WorstSlack is the merged worst-corner mGBA
-	// slack per endpoint — the view the closure flow drives transforms
-	// from — with WorstWNS/WorstTNS its negative-slack reduction.
+	// slack per endpoint at calibration time, with WorstWNS/WorstTNS its
+	// negative-slack reduction. (The closure flow merges its own live
+	// views, which it advances between calibrations.)
 	Corners            []*CornerFit
 	WorstSlack         []float64
 	WorstWNS, WorstTNS float64

@@ -62,16 +62,6 @@ func (cf *CornerFit) Evaluate(kind string, epsilon float64) (Metrics, error) {
 	return Metrics{}, errors.New("core: unknown slack kind " + kind)
 }
 
-// MergedSlack returns the per-endpoint slack view closure should drive
-// transforms from: the worst-corner merge when the model is
-// multi-corner, the plain mGBA slacks otherwise.
-func (m *Model) MergedSlack() []float64 {
-	if m.WorstSlack != nil {
-		return m.WorstSlack
-	}
-	return m.MGBA.Slack
-}
-
 // jointFit stacks every corner's system corner-major into one tall
 // problem over the shared columns, solves it once from the selection
 // corner's warm start, and adopts the result as every corner's fit. Every
@@ -113,9 +103,7 @@ func (c *Calibrator) jointFit(ctx context.Context, fits []*Model) error {
 
 // mergeWorst records every corner's fit on m — Corners[0] mirrors m's
 // own — and builds the merged worst-corner slack view: per endpoint, the
-// minimum mGBA slack over every corner. A transform is only safe when it
-// regresses no corner — this is the vector the closure flow schedules and
-// accepts against.
+// minimum mGBA slack over every corner.
 func (c *Calibrator) mergeWorst(m *Model, fits []*Model, a *assembler) {
 	m.Corners = make([]*CornerFit, len(fits))
 	worst := append([]float64(nil), m.MGBA.Slack...)

@@ -36,9 +36,8 @@ func (preroutePair) Name() string { return PreroutePair }
 // optimistic, so selecting it forces exact Eq. (5) enforcement.
 func (preroutePair) StrictSafety() bool { return true }
 
-func (preroutePair) Bind(s *engine.Session, cfg sta.Config, opt Options) (CheapView, GoldenProvider, error) {
-	return &sessionView{sess: s, cfg: cfg},
-		&routedProvider{sess: s, cfg: cfg, seed: opt.Seed}, nil
+func (preroutePair) Bind(s *engine.Session, cfg sta.Config, opt Options) (GoldenProvider, error) {
+	return &routedProvider{sess: s, cfg: cfg, seed: opt.Seed}, nil
 }
 
 // routedProvider maintains the routed twin: a design clone with

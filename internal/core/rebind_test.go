@@ -33,7 +33,7 @@ func retimeOne(t *testing.T, d *netlist.Design, g *graph.Graph) []int {
 			continue
 		}
 		gate := d.Instances[drv]
-		if err := d.RetimeBackward(ff, gate); err != nil {
+		if _, err := d.RetimeBackward(ff, gate); err != nil {
 			continue
 		}
 		seen := make(map[int]bool)

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"mgba/internal/engine"
-	"mgba/internal/graph"
 	"mgba/internal/pba"
 	"mgba/internal/sta"
 )
@@ -15,11 +14,13 @@ import (
 // A view pair names the two timing views a calibration corrects between:
 // the cheap view, whose derated per-gate delays and path decomposition
 // yield the A·Δx rows of Eq. (9), and the golden view, whose exact path
-// slacks are the fit targets. The paper's instance is GBA (cheap)
-// against PBA retiming of the same session (golden); the "preroute" pair
-// runs the same machinery across design stages, correcting a pre-route
-// analysis against a deterministically routed twin of the design. Pairs
-// are registered by name and selected per calibration through
+// slacks are the fit targets. The cheap view is always the bound
+// session's own analysis under the corner config; a pair supplies the
+// golden view. The paper's instance is GBA (cheap) against PBA retiming
+// of the same session (golden); the "preroute" pair runs the same
+// machinery across design stages, correcting a pre-route analysis
+// against a deterministically routed twin of the design. Pairs are
+// registered by name and selected per calibration through
 // Options.ViewPair.
 
 // PathTimer produces the golden timing of one selected path.
@@ -27,22 +28,6 @@ import (
 // replay with path-specific derates and CRPR.
 type PathTimer interface {
 	Retime(p *pba.Path) *pba.Timing
-}
-
-// CheapView is the inexpensive whole-graph analysis being corrected. It
-// produces the baseline result the selection is enumerated on and owns
-// the row decomposition that maps a selected path and its golden timing
-// onto one row of the Eq. (9) system.
-type CheapView interface {
-	// Run performs the cheap analysis of the current design state.
-	Run() *sta.Result
-	// Row builds one row of the Eq. (9) system for selected path p with
-	// golden timing tm, against the cheap baseline r: sparse entries
-	// (idx, val), the correction target and the Eq. (5) guard.
-	Row(r *sta.Result, g *graph.Graph, epsilon float64, cols map[int]int, p *pba.Path, tm *pba.Timing) (idx []int, val []float64, target, guard float64)
-	// Rebind moves the view to a new timing session after a structural
-	// edit (mirrors Calibrator.Rebind).
-	Rebind(s *engine.Session)
 }
 
 // GoldenProvider produces golden slacks for selected paths. Refresh
@@ -60,10 +45,10 @@ type GoldenProvider interface {
 }
 
 // ViewPair binds a named (cheap, golden) view combination onto a timing
-// session.
+// session: Bind returns the golden provider for one corner config.
 type ViewPair interface {
 	Name() string
-	Bind(s *engine.Session, cfg sta.Config, opt Options) (CheapView, GoldenProvider, error)
+	Bind(s *engine.Session, cfg sta.Config, opt Options) (GoldenProvider, error)
 }
 
 // strictPair is implemented by pairs whose cheap view can be optimistic
@@ -129,30 +114,14 @@ func pairNamesLocked() []string {
 	return names
 }
 
-// sessionView is the cheap view shared by the registered pairs: the
-// plain (unweighted) analysis of the bound session under the calibration
-// config, with the paper's Eq. (9) row decomposition.
-type sessionView struct {
-	sess *engine.Session
-	cfg  sta.Config
-}
-
-func (v *sessionView) Run() *sta.Result { return v.sess.Run(v.cfg) }
-
-func (v *sessionView) Row(r *sta.Result, g *graph.Graph, epsilon float64, cols map[int]int, p *pba.Path, tm *pba.Timing) ([]int, []float64, float64, float64) {
-	return pathRow(r, g, epsilon, cols, p, tm)
-}
-
-func (v *sessionView) Rebind(s *engine.Session) { v.sess = s }
-
 // gbaPBAPair is the paper's pairing: derated graph-based analysis as the
 // cheap view, exact path-based retiming of the same session as golden.
 type gbaPBAPair struct{}
 
 func (gbaPBAPair) Name() string { return DefaultViewPair }
 
-func (gbaPBAPair) Bind(s *engine.Session, cfg sta.Config, opt Options) (CheapView, GoldenProvider, error) {
-	return &sessionView{sess: s, cfg: cfg}, pbaProvider{}, nil
+func (gbaPBAPair) Bind(*engine.Session, sta.Config, Options) (GoldenProvider, error) {
+	return pbaProvider{}, nil
 }
 
 // pbaProvider replays selected paths with pba.Analyzer against the cheap

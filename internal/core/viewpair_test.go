@@ -14,8 +14,8 @@ import (
 type fakePair struct{ name string }
 
 func (p fakePair) Name() string { return p.name }
-func (p fakePair) Bind(*engine.Session, sta.Config, core.Options) (core.CheapView, core.GoldenProvider, error) {
-	return nil, nil, nil
+func (p fakePair) Bind(*engine.Session, sta.Config, core.Options) (core.GoldenProvider, error) {
+	return nil, nil
 }
 
 // TestLookupViewPairErrorListsSortedNames pins the error contract API

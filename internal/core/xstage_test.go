@@ -250,13 +250,13 @@ type failingUpdatePair struct{ fail *bool }
 
 func (failingUpdatePair) Name() string { return "test-failing-update" }
 
-func (p failingUpdatePair) Bind(s *engine.Session, cfg sta.Config, opt core.Options) (core.CheapView, core.GoldenProvider, error) {
+func (p failingUpdatePair) Bind(s *engine.Session, cfg sta.Config, opt core.Options) (core.GoldenProvider, error) {
 	base, err := core.LookupViewPair(core.DefaultViewPair)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	cheap, golden, err := base.Bind(s, cfg, opt)
-	return cheap, failingUpdate{golden, p.fail}, err
+	golden, err := base.Bind(s, cfg, opt)
+	return failingUpdate{golden, p.fail}, err
 }
 
 type failingUpdate struct {

@@ -214,11 +214,11 @@ func (rig *trialRig) retimeTrials(stride int, label string) int {
 		if sl.backward {
 			apply, undo = undo, apply
 		}
-		if apply(sl.ff, sl.g) != nil {
+		if _, err := apply(sl.ff, sl.g); err != nil {
 			continue // not legal here (or no longer, after an accepted slide)
 		}
 		if legal++; (legal-1)%stride != 0 {
-			if err := undo(sl.ff, sl.g); err != nil {
+			if _, err := undo(sl.ff, sl.g); err != nil {
 				t.Fatal(err)
 			}
 			continue
@@ -236,7 +236,7 @@ func (rig *trialRig) retimeTrials(stride int, label string) int {
 		accept := timed%2 == 1
 		rig.trial(edited, accept, fmt.Sprintf("%s retime %s across %s (backward %v)", label, sl.ff.Name, sl.g.Name, sl.backward))
 		if !accept {
-			if err := undo(sl.ff, sl.g); err != nil {
+			if _, err := undo(sl.ff, sl.g); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -58,7 +58,7 @@ func TestRetimeBackwardForwardRoundTrip(t *testing.T) {
 	b, drv, _ := laneParts(t, d)
 	before := fingerprint(d)
 
-	if err := d.RetimeBackward(b, drv); err != nil {
+	if _, err := d.RetimeBackward(b, drv); err != nil {
 		t.Fatalf("backward slide: %v", err)
 	}
 	if err := d.Validate(); err != nil {
@@ -72,7 +72,7 @@ func TestRetimeBackwardForwardRoundTrip(t *testing.T) {
 		t.Fatal("backward slide changed nothing")
 	}
 	// After the slide the gate consumes B's Q, so the same pair slides back.
-	if err := d.RetimeForward(b, drv); err != nil {
+	if _, err := d.RetimeForward(b, drv); err != nil {
 		t.Fatalf("forward slide: %v", err)
 	}
 	if after := fingerprint(d); after != before {
@@ -88,13 +88,13 @@ func TestRetimeForwardBackwardRoundTrip(t *testing.T) {
 	b, _, cons := laneParts(t, d)
 	before := fingerprint(d)
 
-	if err := d.RetimeForward(b, cons); err != nil {
+	if _, err := d.RetimeForward(b, cons); err != nil {
 		t.Fatalf("forward slide: %v", err)
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatalf("design invalid after forward slide: %v", err)
 	}
-	if err := d.RetimeBackward(b, cons); err != nil {
+	if _, err := d.RetimeBackward(b, cons); err != nil {
 		t.Fatalf("backward slide: %v", err)
 	}
 	if after := fingerprint(d); after != before {
@@ -110,15 +110,15 @@ func TestRetimeLegality(t *testing.T) {
 	b, drv, cons := laneParts(t, d)
 
 	// The stage-2 inverter does not drive B's D pin.
-	if err := d.RetimeBackward(b, cons); err == nil {
+	if _, err := d.RetimeBackward(b, cons); err == nil {
 		t.Error("backward slide across a non-fanin gate accepted")
 	}
 	// The D-pin driver is not the consumer of B's Q pin.
-	if err := d.RetimeForward(b, drv); err == nil {
+	if _, err := d.RetimeForward(b, drv); err == nil {
 		t.Error("forward slide across a non-fanout gate accepted")
 	}
 	// A combinational gate is not a register.
-	if err := d.RetimeBackward(drv, cons); err == nil {
+	if _, err := d.RetimeBackward(drv, cons); err == nil {
 		t.Error("retime at a non-FF accepted")
 	}
 	// Registers cannot slide across other registers.
@@ -129,13 +129,13 @@ func TestRetimeLegality(t *testing.T) {
 			break
 		}
 	}
-	if err := d.RetimeBackward(b, a); err == nil {
+	if _, err := d.RetimeBackward(b, a); err == nil {
 		t.Error("retime across a sequential cell accepted")
 	}
 	// A chain inverter with its own fanout gate does not exclusively feed B.
 	first := d.Instances[d.Nets[d.Instances[d.FFs[0]].Output].Sinks[0]]
 	if !first.IsFF() {
-		if err := d.RetimeBackward(b, first); err == nil {
+		if _, err := d.RetimeBackward(b, first); err == nil {
 			t.Error("backward slide across a non-adjacent gate accepted")
 		}
 	}

@@ -408,9 +408,3 @@ func (a *Analyzer) AllViolated(capPerEndpoint int) []*Path {
 	}
 	return out
 }
-
-// MaxFloat is a convenience for stopAtSlack pointers.
-func MaxFloat() *float64 {
-	v := math.MaxFloat64
-	return &v
-}

@@ -45,9 +45,6 @@ func (*Retime) Kind() string { return "retime" }
 // ConnectivityChanging implements Transform: a slide rewires three nets.
 func (*Retime) ConnectivityChanging() bool { return true }
 
-// Lag returns the current lag of register ff (positive = slid backward).
-func (t *Retime) Lag(ff int) int { return t.lags[ff] }
-
 // Propose implements Transform: a backward slide at the capture register
 // first (it acts on the gate contributing the path's final delay), then a
 // forward slide at the launch register. Full legality is the netlist's
@@ -114,21 +111,16 @@ func (t *Retime) lagOK(ff, delta int) bool {
 func (t *Retime) Apply(a *Analysis, c Candidate) (Move, error) {
 	ff := a.D.Instances[c.Target]
 	g := a.D.Instances[c.Aux]
-	var err error
-	if c.Op == OpBackward {
-		err = a.D.RetimeBackward(ff, g)
-	} else {
-		err = a.D.RetimeForward(ff, g)
+	slide, delta := a.D.RetimeBackward, +1
+	if c.Op == OpForward {
+		slide, delta = a.D.RetimeForward, -1
 	}
+	sl, err := slide(ff, g)
 	if err != nil {
 		return nil, nil
 	}
-	delta := +1
-	if c.Op == OpForward {
-		delta = -1
-	}
 	t.lags[ff.ID] += delta
-	return &retimeMove{t: t, ff: ff, g: g, op: c.Op, dirty: t.dirtyBase(a, ff, g)}, nil
+	return &retimeMove{t: t, ff: ff, delta: delta, slide: sl, dirty: t.dirtyBase(a, ff, g)}, nil
 }
 
 // dirtyBase is the structural core of a slide's dirty set: the register,
@@ -184,28 +176,21 @@ func (t *Retime) Restore(blob json.RawMessage) error {
 
 type retimeMove struct {
 	t     *Retime
-	ff, g *netlist.Instance
-	op    int
+	ff    *netlist.Instance
+	delta int // the slide's lag step: +1 backward, -1 forward
+	slide netlist.Slide
 	dirty []int
 }
 
 func (m *retimeMove) Kind() string { return "retime" }
 
+// Revert implements Move: the slide is undone exactly, the touched nets'
+// parasitics included, and the register's lag steps back.
 func (m *retimeMove) Revert(a *Analysis) error {
-	var err error
-	if m.op == OpBackward {
-		err = a.D.RetimeForward(m.ff, m.g)
-	} else {
-		err = a.D.RetimeBackward(m.ff, m.g)
-	}
-	if err != nil {
+	if err := a.D.UndoSlide(m.slide); err != nil {
 		return err
 	}
-	if m.op == OpBackward {
-		m.t.lags[m.ff.ID]--
-	} else {
-		m.t.lags[m.ff.ID]++
-	}
+	m.t.lags[m.ff.ID] -= m.delta
 	return nil
 }
 
