@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -41,9 +40,6 @@ func main() {
 	design := flag.String("design", "D3", "design to optimize: toy, D1..D10, or a fixture (retimetoy, bufcase)")
 	timer := flag.String("timer", "both", "embedded timer: gba, mgba, or both")
 	transforms := flag.String("transforms", "", "comma-separated repair transforms, e.g. upsize,buffer,retime (empty: default registry)")
-	scheduler := flag.String("scheduler", "", "endpoint scheduler: greedy (default) or roundrobin")
-	budgets := flag.String("budgets", "", "per-kind accept budgets as kind=n[,kind=n], e.g. retime=20,buffer=10")
-	retimeLag := flag.Int("retime-lag", 0, "retime: max net register slides per FF (0: default cap, -1: unlimited)")
 	seed := flag.Uint64("seed", 0, "override the design seed (0 keeps the preset)")
 	timeout := flag.Duration("timeout", 0, "stop the flow after this long (0: no limit); partial results are reported")
 	ckpt := flag.String("checkpoint", "", "write resumable checkpoints to this file (atomic)")
@@ -107,17 +103,16 @@ func main() {
 		fail(err)
 	}
 
-	applyRegistry := func(opt *closure.Options) {
+	options := func(kind closure.TimerKind, ckptPath string) closure.Options {
+		opt := closure.DefaultOptions(kind)
+		opt.ColdRecalibrate = *coldcal
+		opt.CheckpointPath = ckptPath
+		opt.CheckpointEvery = *ckptEvery
+		opt.STA.Parallelism = *par
 		opt.Core.ViewPair = *viewpair
 		opt.Core.Corners = cornerSet
 		opt.Transforms = parseTransforms(*transforms)
-		opt.Scheduler = *scheduler
-		opt.RetimeMaxLag = *retimeLag
-		kb, err := parseBudgets(*budgets)
-		if err != nil {
-			fail(err)
-		}
-		opt.KindBudgets = kb
+		return opt
 	}
 
 	if *resume != "" {
@@ -125,13 +120,7 @@ func main() {
 		if err != nil {
 			fail(fmt.Errorf("-resume needs one timer: %w", err))
 		}
-		opt := closure.DefaultOptions(kind)
-		opt.ColdRecalibrate = *coldcal
-		opt.CheckpointPath = *resume
-		opt.CheckpointEvery = *ckptEvery
-		opt.STA.Parallelism = *par
-		applyRegistry(&opt)
-		res, err := closure.Resume(ctx, *resume, opt)
+		res, err := closure.Resume(ctx, *resume, options(kind, *resume))
 		if err != nil {
 			fail(err)
 		}
@@ -165,13 +154,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		opt := closure.DefaultOptions(kind)
-		opt.ColdRecalibrate = *coldcal
-		opt.CheckpointPath = *ckpt
-		opt.CheckpointEvery = *ckptEvery
-		opt.STA.Parallelism = *par
-		applyRegistry(&opt)
-		res, err := closure.Run(ctx, d, opt)
+		res, err := closure.Run(ctx, d, options(kind, *ckpt))
 		if err != nil {
 			fail(err)
 		}
@@ -289,26 +272,6 @@ func parseTransforms(s string) []string {
 		}
 	}
 	return names
-}
-
-// parseBudgets decodes "kind=n[,kind=n]" into per-kind accept budgets.
-func parseBudgets(s string) (map[string]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	out := make(map[string]int)
-	for _, f := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(f), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -budgets entry %q (want kind=n)", f)
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, fmt.Errorf("bad -budgets count %q: %w", f, err)
-		}
-		out[strings.TrimSpace(k)] = n
-	}
-	return out, nil
 }
 
 func fail(err error) {

@@ -51,45 +51,21 @@ func (k TimerKind) String() string {
 	return "GBA"
 }
 
-// DefaultRetimeBudget caps accepted retimes when the retime transform is
-// enabled without an explicit KindBudgets entry: each slide rebuilds the
-// timing session, so an unbounded structural budget could dominate the
-// run the way MaxBuffers bounds buffer insertions.
-const DefaultRetimeBudget = 40
-
-// DefaultRetimeMaxLag is the per-register lag-magnitude cap used when
-// Options.RetimeMaxLag is zero.
-const DefaultRetimeMaxLag = 2
-
 // Options controls one optimization run.
 type Options struct {
 	Timer TimerKind
 	STA   sta.Config   // base analysis features (weights are managed here)
 	Core  core.Options // mGBA calibration settings (TimerMGBA only)
 
-	MaxTransforms     int     // total accepted-transform budget
-	MaxBuffers        int     // buffer insertions allowed (graph rebuilds)
-	WireDelayForBuf   float64 // buffer nets with at least this wire delay, ps
-	RecalibrateEvery  int     // mGBA: recalibrate after this many transforms
-	RecoveryMargin    float64 // downsizing keeps endpoint slack above this, ps
-	MaxViolatedAccept int     // stop when this few endpoints remain violated
+	MaxTransforms    int     // total accepted-transform budget
+	MaxBuffers       int     // buffer insertions allowed (graph rebuilds)
+	WireDelayForBuf  float64 // buffer nets with at least this wire delay, ps
+	RecalibrateEvery int     // mGBA: recalibrate after this many transforms
 
 	// Transforms selects and orders the repair transforms tried on each
 	// violating endpoint: "upsize", "buffer", "retime". nil selects the
 	// default registry — upsize then buffer, the historical loop.
 	Transforms []string
-	// Scheduler selects the endpoint-scheduling policy: "" or "greedy"
-	// (worst endpoint first, the historical order) or "roundrobin"
-	// (cycle through violating endpoints in index order).
-	Scheduler string
-	// KindBudgets caps accepted transforms per kind. Kinds without an
-	// entry default to MaxBuffers for "buffer", DefaultRetimeBudget for
-	// "retime", and no per-kind cap otherwise (MaxTransforms still
-	// bounds the total).
-	KindBudgets map[string]int
-	// RetimeMaxLag caps how far any register may drift (in slides) from
-	// its original position; zero means DefaultRetimeMaxLag.
-	RetimeMaxLag int
 
 	// ColdRecalibrate disables the incremental calibrator and performs
 	// every mid-flow recalibration from scratch. Ablation switch: the two
@@ -120,15 +96,13 @@ func DefaultOptions(timer TimerKind) Options {
 	coreOpt.Solver.MinRows = 512
 	coreOpt.Solver.MaxIters = 1500
 	return Options{
-		Timer:             timer,
-		STA:               sta.DefaultConfig(),
-		Core:              coreOpt,
-		MaxTransforms:     4000,
-		MaxBuffers:        60,
-		WireDelayForBuf:   15,
-		RecalibrateEvery:  150,
-		RecoveryMargin:    5,
-		MaxViolatedAccept: 0,
+		Timer:            timer,
+		STA:              sta.DefaultConfig(),
+		Core:             coreOpt,
+		MaxTransforms:    4000,
+		MaxBuffers:       60,
+		WireDelayForBuf:  15,
+		RecalibrateEvery: 150,
 	}
 }
 

@@ -39,8 +39,6 @@ type flow struct {
 	ctx context.Context
 
 	reg     *transform.Registry
-	budgets map[string]int
-	sched   Scheduler
 	kindObs map[string]kindMetrics
 
 	g    *graph.Graph
@@ -243,12 +241,12 @@ func run(ctx context.Context, d *netlist.Design, opt Options, st *ckptState,
 					break
 				}
 				if f.opt.Timer == TimerGBA {
-					if f.validateViolators() <= f.opt.MaxViolatedAccept {
+					if f.validateViolators() == 0 {
 						break // PBA waives the residual GBA violations
 					}
 					continue // real violations remain: retry the repair loop
 				}
-				if f.violatedCount() <= f.opt.MaxViolatedAccept {
+				if f.violatedCount() == 0 {
 					break
 				}
 				if round == 2 {
@@ -311,15 +309,12 @@ func run(ctx context.Context, d *netlist.Design, opt Options, st *ckptState,
 	return f.res, nil
 }
 
-// newFlow sets up a run's flow state: the transform registry and budgets,
-// the endpoint scheduler and the per-kind metrics.
+// newFlow sets up a run's flow state: the transform registry and the
+// per-kind metrics.
 func newFlow(ctx context.Context, d *netlist.Design, opt Options) (*flow, error) {
 	f := &flow{d: d, opt: opt, ctx: ctx, res: &Result{Timer: opt.Timer}}
 	var err error
-	if f.reg, f.budgets, err = buildRegistry(opt); err != nil {
-		return nil, err
-	}
-	if f.sched, err = buildScheduler(opt.Scheduler); err != nil {
+	if f.reg, err = buildRegistry(opt); err != nil {
 		return nil, err
 	}
 	f.kindObs = make(map[string]kindMetrics)
@@ -470,7 +465,7 @@ func (f *flow) maybeRecalibrate() error {
 	return f.calibrate()
 }
 
-// fixViolations is the main repair loop: the scheduler picks a violating
+// fixViolations is the main repair loop: worstEndpoint picks a violating
 // endpoint, the registry's repair transforms propose moves on its worst
 // path, the first accepted one sticks, and the loop iterates.
 // Cancellation is honored between transforms: an in-flight trial always
@@ -484,11 +479,11 @@ func (f *flow) fixViolations() error {
 		if f.stopped() {
 			return nil // the checkpoint keeps the pass's skip set
 		}
-		fi := f.sched.Next(f.mergedSlack(), f.skip)
+		fi := worstEndpoint(f.mergedSlack(), f.skip)
 		if fi < 0 {
 			break // timing closed (or every violator exhausted)
 		}
-		if f.violatedCount() <= f.opt.MaxViolatedAccept {
+		if f.violatedCount() == 0 {
 			break
 		}
 		improved, err := f.repairEndpoint(fi)
@@ -507,6 +502,25 @@ func (f *flow) fixViolations() error {
 	return nil
 }
 
+// worstEndpoint returns the endpoint the repair loop works on next: the
+// one with the most negative slack outside skip, the lowest index among
+// equals, or -1 when no endpoint outside skip violates. slack is the
+// per-endpoint (merged worst-corner) timer slack; skip marks endpoints
+// the current pass gave up on. It is stateless, so a resumed pass picks
+// exactly as the interrupted one would have.
+func worstEndpoint(slack []float64, skip map[int]bool) int {
+	worst, worstSlack := -1, 0.0
+	for fi, s := range slack {
+		if skip[fi] {
+			continue
+		}
+		if s < worstSlack {
+			worst, worstSlack = fi, s
+		}
+	}
+	return worst
+}
+
 // validateViolators subjects every timer-violating endpoint to PBA
 // path validation — the GBA flow's obligatory reality check — and returns
 // how many endpoints truly violate. Its cost is proportional to the number
@@ -518,16 +532,7 @@ func (f *flow) validateViolators() int {
 	an := pba.NewAnalyzer(f.sel())
 	real := 0
 	for fi, s := range f.sel().Slack {
-		if s >= 0 {
-			continue
-		}
-		worst := math.Inf(1)
-		for _, p := range an.KWorst(fi, 10, nil) {
-			if ps := an.Retime(p).Slack; ps < worst {
-				worst = ps
-			}
-		}
-		if !math.IsInf(worst, 1) && worst < 0 {
+		if s < 0 && pbaSlack(an, fi) < 0 {
 			real++
 		}
 	}
@@ -557,7 +562,7 @@ func (f *flow) repairEndpoint(fi int) (bool, error) {
 	}
 	for _, tr := range f.reg.Repair {
 		kind := tr.Kind()
-		if f.res.Kinds[kind] >= f.budgets[kind] {
+		if f.res.Kinds[kind] >= f.budget(kind) {
 			continue
 		}
 		for _, c := range tr.Propose(f.analysis(), fi, path) {

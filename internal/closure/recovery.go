@@ -4,6 +4,10 @@ import (
 	"math"
 )
 
+// recoveryMargin is the endpoint slack (ps) downsizing keeps in reserve:
+// only gates with at least this much slack are offered to recovery.
+const recoveryMargin = 5
+
 // recoverArea downsizes gates whose paths have slack to spare — the phase
 // where a less pessimistic timer directly buys area and leakage. Gates
 // are walked in topological order and offered to the registry's recovery
@@ -26,7 +30,7 @@ func (f *flow) recoverArea() error {
 			continue
 		}
 		slack := f.sel().InstanceSlack(v)
-		if math.IsInf(slack, 1) || slack < f.opt.RecoveryMargin {
+		if math.IsInf(slack, 1) || slack < recoveryMargin {
 			continue
 		}
 		if err := f.recoverInstance(v); err != nil {
@@ -41,7 +45,7 @@ func (f *flow) recoverArea() error {
 func (f *flow) recoverInstance(v int) error {
 	for _, tr := range f.reg.Recovery {
 		kind := tr.Kind()
-		if f.res.Kinds[kind] >= f.budgets[kind] {
+		if f.res.Kinds[kind] >= f.budget(kind) {
 			continue
 		}
 		for _, c := range tr.Propose(f.analysis(), -1, []int{v}) {

@@ -11,12 +11,20 @@ import (
 // hard-coded choice).
 const BufferDrive = 4
 
-// buildRegistry materializes Options.Transforms into a transform registry
-// plus the per-kind accepted-transform budgets. The default (nil) list is
-// the historical pair — upsize then buffer; recovery always runs the
-// downsize transform. Unknown or duplicated transform names are
-// configuration errors.
-func buildRegistry(opt Options) (*transform.Registry, map[string]int, error) {
+// retimeBudget caps accepted retimes: each slide rebuilds the timing
+// session, so an unbounded structural budget could dominate the run the
+// way MaxBuffers bounds buffer insertions.
+const retimeBudget = 40
+
+// retimeMaxLag caps how far any register may drift (in slides) from its
+// original position.
+const retimeMaxLag = 2
+
+// buildRegistry materializes Options.Transforms into a transform
+// registry. The default (nil) list is the historical pair — upsize then
+// buffer; recovery always runs the downsize transform. Unknown or
+// duplicated transform names are configuration errors.
+func buildRegistry(opt Options) (*transform.Registry, error) {
 	names := opt.Transforms
 	if names == nil {
 		names = []string{"upsize", "buffer"}
@@ -24,7 +32,7 @@ func buildRegistry(opt Options) (*transform.Registry, map[string]int, error) {
 	reg := &transform.Registry{}
 	for _, name := range names {
 		if reg.ByKind(name) != nil {
-			return nil, nil, fmt.Errorf("closure: duplicate transform %q", name)
+			return nil, fmt.Errorf("closure: duplicate transform %q", name)
 		}
 		var tr transform.Transform
 		switch name {
@@ -33,35 +41,25 @@ func buildRegistry(opt Options) (*transform.Registry, map[string]int, error) {
 		case "buffer":
 			tr = transform.NewBuffer(opt.WireDelayForBuf, BufferDrive)
 		case "retime":
-			lag := opt.RetimeMaxLag
-			if lag == 0 {
-				lag = DefaultRetimeMaxLag
-			}
-			tr = transform.NewRetime(lag)
+			tr = transform.NewRetime(retimeMaxLag)
 		default:
-			return nil, nil, fmt.Errorf("closure: unknown transform %q", name)
+			return nil, fmt.Errorf("closure: unknown transform %q", name)
 		}
 		reg.Repair = append(reg.Repair, tr)
 	}
 	reg.Recovery = []transform.Transform{transform.NewDownsize()}
+	return reg, nil
+}
 
-	budgets := make(map[string]int)
-	for _, k := range reg.Kinds() {
-		b, ok := opt.KindBudgets[k]
-		if !ok {
-			switch k {
-			case "buffer":
-				b = opt.MaxBuffers
-			case "retime":
-				b = DefaultRetimeBudget
-			default:
-				b = math.MaxInt
-			}
-		}
-		if b < 0 {
-			return nil, nil, fmt.Errorf("closure: negative budget for %q", k)
-		}
-		budgets[k] = b
+// budget caps the accepted moves of one kind: MaxBuffers for buffer
+// insertion, retimeBudget for retiming, no cap for sizing (MaxTransforms
+// still bounds the total).
+func (f *flow) budget(kind string) int {
+	switch kind {
+	case "buffer":
+		return f.opt.MaxBuffers
+	case "retime":
+		return retimeBudget
 	}
-	return reg, budgets, nil
+	return math.MaxInt
 }

@@ -27,22 +27,7 @@ func signoff(s *engine.Session, cfg sta.Config) (wns, tns float64) {
 		if len(g.Fanin(ffID)) == 0 {
 			continue
 		}
-		worst := math.Inf(1)
-		// The PBA-worst path is among the GBA-worst few: GBA ordering is
-		// a conservative bound on the PBA ordering.
-		for _, p := range an.KWorst(fi, 10, nil) {
-			if s := an.Retime(p).Slack; s < worst {
-				worst = s
-			}
-		}
-		// The endpoint's PBA slack is the slack of its PBA-worst path,
-		// i.e. the minimum over paths of the per-path slack. KWorst
-		// returns GBA-worst-first, so taking the min over the first few
-		// is the standard sign-off approximation.
-		if math.IsInf(worst, 1) {
-			continue
-		}
-		if worst < 0 {
+		if worst := pbaSlack(an, fi); worst < 0 {
 			tns += worst
 			if worst < wns {
 				wns = worst
@@ -50,4 +35,19 @@ func signoff(s *engine.Session, cfg sta.Config) (wns, tns float64) {
 		}
 	}
 	return wns, tns
+}
+
+// pbaSlack is endpoint fi's PBA slack: the worst PBA slack among its 10
+// worst GBA paths, +Inf when it has none. The PBA-worst path is among the
+// GBA-worst few (GBA ordering is a conservative bound on the PBA
+// ordering), so the minimum over them is the standard sign-off
+// approximation of the endpoint's true PBA slack.
+func pbaSlack(an *pba.Analyzer, fi int) float64 {
+	worst := math.Inf(1)
+	for _, p := range an.KWorst(fi, 10, nil) {
+		if s := an.Retime(p).Slack; s < worst {
+			worst = s
+		}
+	}
+	return worst
 }

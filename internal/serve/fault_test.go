@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"mgba/internal/core"
 	"mgba/internal/faultinject"
 )
 
@@ -106,44 +108,78 @@ func TestCrashMidBatchResumesBitIdentical(t *testing.T) {
 }
 
 // TestGracefulShutdownThenResume: the SIGTERM path — Shutdown snapshots
-// the batch-2 state, so the restarted daemon resumes it directly, no
-// replay needed.
+// the batch's state, so the restarted daemon resumes it directly, no
+// replay needed, and serves the slacks, WNS/TNS and weights it served
+// before, bit for bit. Under a corner set the weights were fitted under
+// the selection corner's config, so the resumed session must re-time
+// under that config too; a selection corner other than the base config
+// (slow first) is the case that tells the two apart.
 func TestGracefulShutdownThenResume(t *testing.T) {
-	dir := t.TempDir()
-	cfg := DefaultConfig()
-	cfg.SnapshotDir = dir
-	cfg.SnapshotEvery = time.Hour // force the drain path to do the persisting
-
 	d := testDesign(t, 300, 40)
 	ids := upsizableIDs(t, d, 4)
+	for _, set := range []string{"", "slow:1.15:10", "slow:1.15:10,typ", "typ,slow:1.15:10"} {
+		name := set
+		if name == "" {
+			name = "no-corner-set"
+		}
+		t.Run(name, func(t *testing.T) {
+			corners, err := core.ParseCorners(set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig()
+			cfg.SnapshotDir = t.TempDir()
+			cfg.SnapshotEvery = time.Hour // force the drain path to do the persisting
 
-	svA, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsA := httptest.NewServer(svA)
-	createInline(t, tsA.URL, "term", d)
-	wantStatus(t, doJSON(t, "POST", tsA.URL+"/v1/sessions/term/batch", upsizeBatch(ids), nil), http.StatusOK)
-	final := getSlacks(t, tsA.URL, "term")
-	tsA.Close()
-	ctx, cancel := ctxWithTimeout(10 * time.Second)
-	if err := svA.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
+			svA, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tsA := httptest.NewServer(svA)
+			wantStatus(t, doJSON(t, "POST", tsA.URL+"/v1/sessions",
+				createRequest{ID: "term", DesignJSON: designJSON(t, d), Corners: corners}, nil), http.StatusCreated)
+			wantStatus(t, doJSON(t, "POST", tsA.URL+"/v1/sessions/term/batch", upsizeBatch(ids), nil), http.StatusOK)
+			final := getSlacks(t, tsA.URL, "term")
+			tsA.Close()
+			ctx, cancel := ctxWithTimeout(10 * time.Second)
+			if err := svA.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+			cancel()
 
-	svB, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsB := httptest.NewServer(svB)
-	defer func() {
-		tsB.Close()
-		shutdownServer(t, svB)
-	}()
-	resumed := getSlacks(t, tsB.URL, "term")
-	if !sameFloats(final.Slacks, resumed.Slacks) || !sameFloats(final.Weights, resumed.Weights) {
-		t.Fatal("graceful restart did not resume the exact pre-shutdown state")
+			svB, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tsB := httptest.NewServer(svB)
+			defer func() {
+				tsB.Close()
+				shutdownServer(t, svB)
+			}()
+			resumed := getSlacks(t, tsB.URL, "term")
+
+			if final.Weights == nil {
+				t.Fatal("session served no weights before the restart")
+			}
+			if !sameFloats(final.Weights, resumed.Weights) {
+				t.Error("resumed weights differ from pre-shutdown weights")
+			}
+			changed := 0
+			for i := range final.Slacks {
+				if i >= len(resumed.Slacks) || math.Float64bits(final.Slacks[i]) != math.Float64bits(resumed.Slacks[i]) {
+					changed++
+				}
+			}
+			if changed > 0 || len(resumed.Slacks) != len(final.Slacks) {
+				t.Errorf("%d of %d endpoint slacks changed across the restart (%d resumed)",
+					changed, len(final.Slacks), len(resumed.Slacks))
+			}
+			if math.Float64bits(final.WNS) != math.Float64bits(resumed.WNS) ||
+				math.Float64bits(final.TNS) != math.Float64bits(resumed.TNS) {
+				t.Errorf("WNS/TNS %v/%v before the restart, %v/%v after",
+					final.WNS, final.TNS, resumed.WNS, resumed.TNS)
+			}
+		})
 	}
 }
 

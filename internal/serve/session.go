@@ -15,6 +15,7 @@ import (
 	"mgba/internal/netio"
 	"mgba/internal/netlist"
 	"mgba/internal/sta"
+	"mgba/internal/transform"
 )
 
 // session is one resident calibration session: a design, its timing
@@ -39,7 +40,6 @@ type session struct {
 	g   *graph.Graph
 	eng *engine.Session
 	cal *core.Calibrator
-	cfg sta.Config
 	opt core.Options
 
 	// Serving state, guarded by mu. weights is the last fitted
@@ -89,7 +89,7 @@ func newSession(id, source string, d *netlist.Design, cfg sta.Config, opt core.O
 	if err != nil {
 		return nil, fmt.Errorf("serve: session %s: %w", id, err)
 	}
-	s := &session{id: id, source: source, d: d, g: g, eng: eng, cal: cal, cfg: cfg, opt: opt}
+	s := &session{id: id, source: source, d: d, g: g, eng: eng, cal: cal, opt: opt}
 	s.touch(time.Now())
 	return s, nil
 }
@@ -213,14 +213,16 @@ func (s *session) recalibrate(ctx context.Context, dirty []int) error {
 }
 
 // ensureSlacks computes the per-endpoint slack vector when it is not
-// resident (a freshly resumed session). Weighted GBA is deterministic
-// given the design and weights, so the recomputed slacks are bit-identical
-// to the ones the process served before it died. Caller holds mu.
+// resident (a freshly resumed session). The weights were fitted under the
+// selection corner's config, so the slacks are timed under it too.
+// Weighted GBA is deterministic given the design, config and weights, so
+// the recomputed slacks are bit-identical to the ones the process served
+// before it died. Caller holds mu.
 func (s *session) ensureSlacks() {
 	if s.slacks != nil {
 		return
 	}
-	wcfg := s.cfg
+	wcfg := s.cal.CornerConfigs()[0]
 	wcfg.Weights = s.weights // nil means plain GBA, also correct
 	r := s.eng.Run(wcfg)
 	s.slacks = append([]float64(nil), r.Slack...)
@@ -306,7 +308,7 @@ func (s *session) applyOps(ops []Op) ([]OpResult, []int, error) {
 		in, prev := inst, from
 		applied = append(applied, func() { in.Cell = prev })
 		results[i] = OpResult{Applied: true}
-		for _, id := range s.modifiedSet(op.Instance) {
+		for _, id := range transform.ModifiedSet(&transform.Analysis{D: s.d, G: s.g}, op.Instance) {
 			dirtySet[id] = true
 		}
 	}
@@ -316,21 +318,6 @@ func (s *session) applyOps(ops []Op) ([]OpResult, []int, error) {
 	}
 	sort.Ints(dirty)
 	return results, dirty, nil
-}
-
-// modifiedSet returns the instances whose timing a resize of id touched:
-// the instance itself plus the non-clock drivers of its input nets (their
-// load changed). Mirrors transform.ModifiedSet so serve batches and the
-// closure flow feed the incremental engine identical dirty seeds.
-func (s *session) modifiedSet(id int) []int {
-	inst := s.d.Instances[id]
-	mod := []int{id}
-	for _, nid := range inst.Inputs {
-		if drv := s.d.Nets[nid].Driver; drv >= 0 && !s.g.IsClock(drv) {
-			mod = append(mod, drv)
-		}
-	}
-	return mod
 }
 
 // snapshotCheckpoint builds the session's persistent form. Caller holds mu.

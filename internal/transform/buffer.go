@@ -46,7 +46,7 @@ func (t *Buffer) Propose(a *Analysis, fi int, path []int) []Candidate {
 	if bestNet < 0 {
 		return nil
 	}
-	return []Candidate{{Target: bestNet, Score: bestWD}}
+	return []Candidate{{Target: bestNet}}
 }
 
 // Apply implements Transform. A net the netlist refuses to buffer is not
@@ -64,7 +64,7 @@ func (t *Buffer) Apply(a *Analysis, c Candidate) (Move, error) {
 	if drv := a.D.Nets[c.Target].Driver; drv >= 0 {
 		dirty = append(dirty, drv)
 	}
-	return &bufferMove{buf: b, cost: buf.Area, dirty: append(dirty, b.ID)}, nil
+	return &bufferMove{buf: b, dirty: append(dirty, b.ID)}, nil
 }
 
 // Accept implements Transform: the target endpoint must improve without
@@ -76,7 +76,6 @@ func (*Buffer) Accept(before, after Snapshot) bool {
 
 type bufferMove struct {
 	buf   *netlist.Instance
-	cost  float64
 	dirty []int
 }
 
@@ -91,5 +90,3 @@ func (m *bufferMove) Revert(a *Analysis) error {
 // whose graph-derived depth or bounding box the insertion moved further
 // away are the caller's to add, from the rebuilt session.
 func (m *bufferMove) DirtySet() []int { return m.dirty }
-
-func (m *bufferMove) Cost() float64 { return m.cost }

@@ -12,7 +12,6 @@ type resizeMove struct {
 	kind  string
 	inst  *netlist.Instance
 	from  *cells.Cell
-	cost  float64
 	dirty []int
 }
 
@@ -23,8 +22,6 @@ func (m *resizeMove) Revert(a *Analysis) error {
 }
 
 func (m *resizeMove) DirtySet() []int { return m.dirty }
-
-func (m *resizeMove) Cost() float64 { return m.cost }
 
 // Upsize is the first-choice repair transform: swap the slowest path gate
 // for its next-stronger drive variant. Candidates are every path gate with
@@ -62,7 +59,7 @@ func (*Upsize) Propose(a *Analysis, fi int, path []int) []Candidate {
 				best = i
 			}
 		}
-		out = append(out, Candidate{Target: cands[best].id, Score: cands[best].delay})
+		out = append(out, Candidate{Target: cands[best].id})
 		cands = append(cands[:best], cands[best+1:]...)
 	}
 	return out
@@ -137,7 +134,6 @@ func applyResize(a *Analysis, id int, kind string, up bool) (Move, error) {
 		kind:  kind,
 		inst:  inst,
 		from:  from,
-		cost:  to.Area - from.Area,
 		dirty: ModifiedSet(a, id),
 	}, nil
 }

@@ -198,6 +198,3 @@ func (m *retimeMove) Revert(a *Analysis) error {
 // the drivers of their input nets; the calibrator absorbs the slide
 // incrementally after a session rebind.
 func (m *retimeMove) DirtySet() []int { return m.dirty }
-
-// Cost implements Move: a slide swaps no cells, so its area delta is zero.
-func (m *retimeMove) Cost() float64 { return 0 }

@@ -1,6 +1,6 @@
 // Package transform defines the pluggable closure-move framework: the
 // Transform interface every timing-closure move implements, the Move
-// handle an application returns (revert, dirty set, cost), and the
+// handle an application returns (revert and dirty set), and the
 // Registry the closure scheduler iterates. The four shipped transforms —
 // gate upsizing, buffer insertion, register retiming, and the
 // recovery-pass downsizing — live here as self-contained implementations;
@@ -60,17 +60,15 @@ type Snapshot struct {
 
 // Candidate is one proposed application site. Target and Aux are
 // transform-defined IDs (an instance, a net, an FF/gate pair); Op
-// discriminates between the transform's move variants; Score records the
-// ordering key Propose ranked it by.
+// discriminates between the transform's move variants.
 type Candidate struct {
 	Target int
 	Aux    int
 	Op     int
-	Score  float64
 }
 
-// Move is one applied transform instance: the handle to revert it, the
-// instances whose timing it touched, and its cost.
+// Move is one applied transform instance: the handle to revert it and the
+// instances whose timing it touched.
 type Move interface {
 	// Kind echoes the owning transform's kind.
 	Kind() string
@@ -81,8 +79,6 @@ type Move interface {
 	// incremental Result.Update and calibrator recalibration. A
 	// connectivity-changing move includes the instances it created.
 	DirtySet() []int
-	// Cost is the move's area delta (positive grows the design).
-	Cost() float64
 }
 
 // Transform is one pluggable closure move.

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Smoke-test the calibration daemon end to end, including crash recovery:
 # start calibd on a free port with a snapshot directory, create a session
-# on the toy design (plus a multi-corner one), apply sizing batches, read
-# the slacks, SIGTERM the daemon (graceful drain + snapshot), restart it
-# on the same snapshot directory, and assert the resumed sessions serve
-# byte-identical slacks and keep their corner sets.
+# on the toy design (plus two multi-corner ones, one selecting on the
+# slow corner), apply sizing batches, read the slacks, SIGTERM the daemon
+# (graceful drain + snapshot), restart it on the same snapshot directory,
+# and assert the resumed sessions serve byte-identical slacks and keep
+# their corner sets.
 set -euo pipefail
 
 tmp=$(mktemp -d)
@@ -78,6 +79,30 @@ case "$mcbatch" in
     ;;
 esac
 
+# A third session selecting on a non-identity corner: slow (derate scale
+# 1.15, 10 ps uncertainty) first, then typ. Its weights are fitted under
+# the slow config, so its slacks must survive the restart byte for byte
+# just like the single-corner session's.
+sc=$(curl -fsS -X POST "http://$addr/v1/sessions" \
+    -d '{"id":"slowsel","design":"toy","corners":[{"name":"slow","derate_scale":1.15,"uncertainty_ps":10},{"name":"typ"}]}')
+case "$sc" in
+*'"calibrated":true'*) ;;
+*)
+    echo "smoke_calibd: slow-selection create did not calibrate: $sc" >&2
+    exit 1
+    ;;
+esac
+
+scbatch=$(curl -fsS -X POST "http://$addr/v1/sessions/slowsel/batch" \
+    -d '{"ops":[{"op":"upsize","instance":225},{"op":"upsize","instance":226}]}')
+case "$scbatch" in
+*'"applied":true'*) ;;
+*)
+    echo "smoke_calibd: slow-selection batch applied nothing: $scbatch" >&2
+    exit 1
+    ;;
+esac
+
 before=$(curl -fsS "http://$addr/v1/sessions/smoke/slacks")
 case "$before" in
 *'"slacks_ps":['*) ;;
@@ -86,6 +111,8 @@ case "$before" in
     exit 1
     ;;
 esac
+
+scbefore=$(curl -fsS "http://$addr/v1/sessions/slowsel/slacks")
 
 # Graceful shutdown: drain and snapshot, then make sure the process is gone.
 kill -TERM "$pid"
@@ -113,19 +140,27 @@ case "$mcstatus" in
     ;;
 esac
 
-after=$(curl -fsS "http://$addr/v1/sessions/smoke/slacks")
-if [ "$before" != "$after" ]; then
-    echo "smoke_calibd: resumed slacks differ from pre-restart slacks" >&2
-    echo "before: $(printf '%s' "$before" | head -c 300)" >&2
-    echo "after:  $(printf '%s' "$after" | head -c 300)" >&2
-    exit 1
-fi
+# same_slacks SESSION BEFORE: the resumed session's /slacks body must be
+# byte-identical to the one it served before the restart.
+same_slacks() {
+    local after
+    after=$(curl -fsS "http://$addr/v1/sessions/$1/slacks")
+    if [ "$2" != "$after" ]; then
+        echo "smoke_calibd: $1: resumed slacks differ from pre-restart slacks" >&2
+        echo "before: $(printf '%s' "$2" | head -c 300)" >&2
+        echo "after:  $(printf '%s' "$after" | head -c 300)" >&2
+        exit 1
+    fi
+}
+same_slacks smoke "$before"
+same_slacks slowsel "$scbefore"
 
 curl -fsS -X DELETE "http://$addr/v1/sessions/smoke" >/dev/null
 curl -fsS -X DELETE "http://$addr/v1/sessions/mc" >/dev/null
+curl -fsS -X DELETE "http://$addr/v1/sessions/slowsel" >/dev/null
 
 kill -TERM "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
 rm -rf "$tmp"
 
-echo "smoke_calibd: ok (resumed slacks byte-identical across restart; corner set preserved)"
+echo "smoke_calibd: ok (resumed slacks byte-identical across restart, slow selection corner included; corner set preserved)"
