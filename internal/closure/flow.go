@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -588,7 +589,7 @@ func (f *flow) repairEndpoint(fi int) (bool, error) {
 //   - connectivity-changing (buffer, retime): time the trial on a session
 //     derived from the flow's, and on acceptance adopt it, mark the
 //     calibrator for rebinding, and widen the dirty set with the
-//     graph-state diff.
+//     instances whose derate inputs the derivation moved.
 func (f *flow) tryCandidate(tr transform.Transform, fi int, c transform.Candidate) (bool, error) {
 	a := f.analysis()
 	before := snap(a.R, fi)
@@ -621,35 +622,35 @@ func (f *flow) tryCandidate(tr transform.Transform, fi int, c transform.Candidat
 
 // tryStructural is the trial protocol for connectivity-changing moves
 // (buffer insertion, retiming). The trial's session is derived from the
-// flow's, sharing its clock state while the move leaves the clock network
-// alone, and the trial's views are the flow's rebased onto it: an Update
-// over what the move reached, bitwise equal to a fresh run. On
-// acceptance the flow adopts them, marks the calibrator stale (the next
-// calibrate rebinds instead of going cold), and widens the move's
-// structural dirty set with every instance whose graph-derived depth or
-// bounding-box state moved — together they cover exactly the instances
-// whose timing the move could have changed, which is what makes the
-// subsequent incremental recalibration bit-identical to a cold one. On
-// rejection the move is reverted, leaving the design exactly as the trial
-// found it, and the pre-trial session, timing views and calibrator simply
-// remain in place; the weight vectors drop the padding the trial gave
-// them.
+// flow's over the move's edited instances — its graph patched, its DP
+// state re-derived over the move's cones, its clock state shared while
+// the move leaves the clock network alone — and the trial's views are the
+// flow's rebased onto it: an Update over what the move reached, bitwise
+// equal to a fresh run. On acceptance the flow adopts them, marks the
+// calibrator stale (the next calibrate rebinds instead of going cold),
+// and widens the move's structural dirty set with every instance whose
+// graph-derived depth or bounding-box state moved (Session.Moved) —
+// together they cover exactly the instances whose timing the move could
+// have changed, which is what makes the subsequent incremental
+// recalibration bit-identical to a cold one. On rejection the trial
+// session is discarded (the next trial fills its storage) and the move
+// reverted, leaving the design exactly as the trial found it; the
+// pre-trial session, timing views and calibrator simply remain in place,
+// and the weight vectors drop the padding the trial gave them.
 func (f *flow) tryStructural(tr transform.Transform, fi int, mv transform.Move, before transform.Snapshot) (bool, error) {
-	g2, err := graph.Build(f.d)
+	edited := mv.DirtySet()
+	newSess, err := f.sess.Derive(edited)
 	if err != nil {
 		return false, fmt.Errorf("closure: %s move broke the timing graph: %w", mv.Kind(), err)
 	}
-	newSess := f.sess.Derive(g2)
-	edited := mv.DirtySet()
 	cwns := f.cornerWNS()
 	trial := f.rebase(newSess, edited)
 	if tr.Accept(before, snap(trial[0].r, fi)) && !vetoed(cwns, trial) {
-		dirty := append([]int(nil), edited...)
-		dirty = append(dirty, engine.DerateDiff(f.sess, newSess)...)
+		dirty := append(slices.Clone(edited), newSess.Moved()...)
 		// The old views belong to the superseded session; swap in the
 		// trial session's.
 		f.adopt(trial)
-		f.g, f.sess = g2, newSess
+		f.g, f.sess = newSess.G, newSess
 		if f.cal != nil {
 			f.calStale = true
 		}
@@ -660,6 +661,7 @@ func (f *flow) tryStructural(tr transform.Transform, fi int, mv transform.Move, 
 	for _, v := range trial {
 		v.r.Release()
 	}
+	newSess.Discard()
 	if err := mv.Revert(f.analysis()); err != nil {
 		return false, err
 	}

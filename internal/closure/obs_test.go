@@ -135,6 +135,14 @@ func TestStructuralTrialsKeepSessionAndCalibrator(t *testing.T) {
 	if n := count("engine.sessions.clock_rebuilt"); n != 0 {
 		t.Errorf("engine.sessions.clock_rebuilt = %d, want 0 (buffers on data nets leave the clock network alone)", n)
 	}
+	// A derivation re-derives the edit's cones, not the design.
+	evals := count("engine.derive_evals")
+	t.Logf("engine.derive_evals = %d over %d derivations (%.1f per derivation, %d instances)",
+		evals, rejected, float64(evals)/float64(rejected), len(d.Instances))
+	if evals == 0 || evals >= rejected*int64(len(d.Instances))/4 {
+		t.Errorf("engine.derive_evals = %d over %d derivations, want between 1 and a quarter of %d instances each",
+			evals, rejected, len(d.Instances))
+	}
 	if n := count("core.calibrations.cold"); n != 1 {
 		t.Errorf("core.calibrations.cold = %d, want 1", n)
 	}

@@ -375,6 +375,7 @@ func (c *Calibrator) coldFit(ctx context.Context, sp *obs.Span, sel *pathsel.Sel
 // MaxPaths is an error that also drops the cache.
 func (c *Calibrator) Recalibrate(ctx context.Context, dirty []int) (*Model, error) {
 	if c.groups == nil {
+		obsColdNoCache.Inc()
 		return c.cold(ctx, nil)
 	}
 	for _, id := range dirty {
@@ -382,6 +383,7 @@ func (c *Calibrator) Recalibrate(ctx context.Context, dirty []int) (*Model, erro
 			// An instance the session does not time, or a touched clock
 			// cell: the cache's clock-invariance assumptions are void, go
 			// cold.
+			obsColdDirtyClock.Inc()
 			return c.cold(ctx, nil)
 		}
 	}
@@ -400,6 +402,7 @@ func (c *Calibrator) incremental(ctx context.Context, sp *obs.Span, dirty []int)
 		if err := k.golden.Update(dirty); err != nil {
 			// The incremental mirror failed; a cold calibration re-derives
 			// the golden view from scratch instead (and counts as one).
+			obsColdMirrorFault.Inc()
 			return c.cold(ctx, nil)
 		}
 	}

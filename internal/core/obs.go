@@ -16,4 +16,13 @@ var (
 	obsLadderAttempts   = obs.NewCounter("core.ladder.attempts")
 	obsLadderRejected   = obs.NewCounter("core.ladder.rejected")
 	obsEndpointsReenum  = obs.NewCounter("core.endpoints.reenumerated")
+
+	// Recalibrate calls that fell back to a cold calibration, one counter
+	// per reason: no incremental cache (the first call, a streamed
+	// calibrator, or after Invalidate); a clock cell or an instance the
+	// session does not time in the dirty set; a golden mirror that could
+	// not follow the dirty set.
+	obsColdNoCache     = obs.NewCounter("core.recalibrate.cold.no_cache")
+	obsColdDirtyClock  = obs.NewCounter("core.recalibrate.cold.dirty_clock")
+	obsColdMirrorFault = obs.NewCounter("core.recalibrate.cold.mirror_failed")
 )

@@ -9,6 +9,7 @@ import (
 	"mgba/internal/core"
 	"mgba/internal/gen"
 	"mgba/internal/graph"
+	"mgba/internal/netlist"
 	"mgba/internal/obs"
 	"mgba/internal/sta"
 )
@@ -84,4 +85,84 @@ func TestObsOnOffCalibrationBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRecalibrateColdFallbackCounters reaches each branch on which a
+// Recalibrate falls back to a cold calibration and requires that branch's
+// counter, and only it, to rise: no cache (the first call, after
+// Invalidate, and on a streamed calibrator, which keeps none), a clock
+// cell or an instance the session does not time in the dirty set, and a
+// golden mirror that cannot follow the dirty set.
+func TestRecalibrateColdFallbackCounters(t *testing.T) {
+	prev := obs.Enabled()
+	defer obs.Enable(prev)
+	obs.Enable(true)
+	obs.Reset()
+	defer obs.Reset()
+	ctx := context.Background()
+	reasons := []string{"no_cache", "dirty_clock", "mirror_failed"}
+	counts := func() map[string]int64 {
+		snap := obs.Snapshot()
+		out := map[string]int64{}
+		for _, r := range reasons {
+			out[r], _ = snap["core.recalibrate.cold."+r].(int64)
+		}
+		return out
+	}
+	recal := func(label string, cal *core.Calibrator, dirty []int, want string) {
+		t.Helper()
+		before := counts()
+		if _, err := cal.Recalibrate(ctx, dirty); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		after := counts()
+		for _, r := range reasons {
+			rise := int64(0)
+			if r == want {
+				rise = 1
+			}
+			if got := after[r] - before[r]; got != rise {
+				t.Errorf("%s: core.recalibrate.cold.%s rose by %d, want %d", label, r, got, rise)
+			}
+		}
+	}
+	// newCal calibrates a fresh design under opt.
+	newCal := func(opt core.Options) (*core.Calibrator, *netlist.Design, *graph.Graph, *core.Model) {
+		t.Helper()
+		d, g, sess := calDesign(t)
+		cal, err := core.NewCalibrator(sess, sta.DefaultConfig(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := cal.Calibrate(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cal, d, g, m
+	}
+
+	_, g, sess := calDesign(t)
+	cal, err := core.NewCalibrator(sess, sta.DefaultConfig(), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recal("first call", cal, nil, "no_cache")
+	recal("warm cache, no edit", cal, nil, "")
+	cal.Invalidate()
+	recal("after Invalidate", cal, nil, "no_cache")
+	recal("clock cell dirty", cal, []int{int(g.ClockChain[0][0])}, "dirty_clock")
+	recal("unknown instance dirty", cal, []int{sess.NumInstances()}, "dirty_clock")
+
+	stream := core.DefaultOptions()
+	stream.StreamShard = 256
+	scal, _, _, _ := newCal(stream)
+	recal("streamed calibrator", scal, nil, "no_cache")
+
+	failing := core.DefaultOptions()
+	failing.ViewPair = "test-failing-update"
+	fcal, fd, fg, fm := newCal(failing)
+	dirty := upsizeSelected(t, fd, fg, fm, 2)
+	*failUpdate = true
+	defer func() { *failUpdate = false }()
+	recal("failed golden mirror", fcal, dirty, "mirror_failed")
 }

@@ -128,10 +128,10 @@ func BenchmarkCRPRCreditReuse(b *testing.B) {
 	})
 }
 
-// BenchmarkFreshSession measures what a structural trial (buffer
-// insertion, retiming) pays before it can judge its move: build the
-// timing graph, build a session, and run the first analysis — which
-// derives the clock state and the leaf-pair CRPR credit matrix — on D8.
+// BenchmarkFreshSession measures a cold start on D8: build the timing
+// graph, build a session, and run the first analysis, which derives the
+// clock state and the leaf-pair CRPR credit matrix. A structural trial
+// pays none of it (BenchmarkStructuralTrial).
 func BenchmarkFreshSession(b *testing.B) {
 	d, _ := benchDesign(b, gen.Suite()[7]) // D8: sea of gates
 	cfg := engine.DefaultConfig()
@@ -147,52 +147,111 @@ func BenchmarkFreshSession(b *testing.B) {
 	}
 }
 
-// BenchmarkStructuralTrial times one rejected buffer trial of the closure
-// flow on D3, the way the flow runs it: insert a buffer on a data net,
-// rebuild the graph, Derive the trial session from the flow's (sharing
-// its clock state), Rebase the flow's view onto it, then drop the view
-// and revert the insertion. A revert pops the buffer and its net, so
-// every trial runs on the same design.
+// BenchmarkStructuralTrial times one rejected structural trial of the
+// closure flow on D3, the way the flow runs it: apply the move, Derive
+// the trial session from the flow's over the move's edited instances
+// (patching its graph, sharing its clock state), Rebase the flow's view
+// onto it, then drop the view, discard the trial session (its storage
+// serves the next trial) and revert the move, so every trial runs on the
+// same design. buffer inserts a buffer on a data net deep inside
+// the logic cone and pops it again; retime makes a legal backward slide
+// and its UndoSlide. The first Derive of the flow's session computes its
+// launch-leaf masks once, before the timer starts.
 func BenchmarkStructuralTrial(b *testing.B) {
 	cfg := engine.DefaultConfig()
 	d, g := benchDesign(b, gen.Suite()[2]) // D3
 	s := engine.NewSession(g)
 	r := s.Run(cfg)
-	// The output net of the middle combinational gate in topological
-	// order: a data net deep inside the logic cone.
-	var gates []int32
-	for _, v := range g.Topo {
-		if !d.Instances[v].IsFF() {
-			gates = append(gates, v)
-		}
-	}
-	net := d.Instances[gates[len(gates)/2]].Output
-	buf, err := d.Lib.Pick(cells.Buf, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
 	nInst := len(d.Instances)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bi, err := d.InsertBuffer(net, buf, "")
+	run := func(b *testing.B, apply func() []int, revert func()) {
+		trial := func() {
+			edited := apply()
+			s2, err := s.Derive(edited)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r2 := r.Rebase(s2, cfg, edited)
+			_ = r2.WNS
+			r2.Release()
+			s2.Discard()
+			revert()
+		}
+		trial()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			trial()
+		}
+		b.StopTimer()
+		if len(d.Instances) != nInst {
+			b.Fatalf("design grew from %d to %d instances over %d trials", nInst, len(d.Instances), b.N)
+		}
+	}
+
+	b.Run("buffer", func(b *testing.B) {
+		// The output net of the middle combinational gate in topological
+		// order: a data net deep inside the logic cone.
+		var gates []int32
+		for _, v := range g.Topo {
+			if !d.Instances[v].IsFF() {
+				gates = append(gates, v)
+			}
+		}
+		net := d.Instances[gates[len(gates)/2]].Output
+		buf, err := d.Lib.Pick(cells.Buf, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
-		g2, err := graph.Build(d)
-		if err != nil {
-			b.Fatal(err)
+		var bi *netlist.Instance
+		run(b, func() []int {
+			if bi, err = d.InsertBuffer(net, buf, ""); err != nil {
+				b.Fatal(err)
+			}
+			return append(slices.Clone(d.Nets[bi.Output].Sinks), d.Nets[net].Driver, bi.ID)
+		}, func() {
+			if err := d.RemoveBuffer(bi); err != nil {
+				b.Fatal(err)
+			}
+		})
+	})
+
+	b.Run("retime", func(b *testing.B) {
+		// The first register whose D-pin driver slides backward across it.
+		var ff, gate *netlist.Instance
+		for _, id := range d.FFs {
+			f := d.Instances[id]
+			if drv := d.Nets[f.Inputs[0]].Driver; drv >= 0 && !g.IsClock(drv) {
+				if sl, err := d.RetimeBackward(f, d.Instances[drv]); err == nil {
+					if err := d.UndoSlide(sl); err != nil {
+						b.Fatal(err)
+					}
+					ff, gate = f, d.Instances[drv]
+					break
+				}
+			}
 		}
-		edited := append(slices.Clone(d.Nets[bi.Output].Sinks), d.Nets[net].Driver, bi.ID)
-		r2 := r.Rebase(s.Derive(g2), cfg, edited)
-		_ = r2.WNS
-		r2.Release()
-		if err := d.RemoveBuffer(bi); err != nil {
-			b.Fatal(err)
+		if ff == nil {
+			b.Fatal("no legal backward slide on D3")
 		}
-	}
-	b.StopTimer()
-	if len(d.Instances) != nInst {
-		b.Fatalf("design grew from %d to %d instances over %d trials", nInst, len(d.Instances), b.N)
-	}
+		var sl netlist.Slide
+		run(b, func() []int {
+			var err error
+			if sl, err = d.RetimeBackward(ff, gate); err != nil {
+				b.Fatal(err)
+			}
+			// The retime transform's dirty set: the register, the gate
+			// and the data drivers of their input nets.
+			edited := []int{ff.ID, gate.ID}
+			for _, in := range []*netlist.Instance{ff, gate} {
+				if drv := d.Nets[in.Inputs[0]].Driver; drv >= 0 && !g.IsClock(drv) && !slices.Contains(edited, drv) {
+					edited = append(edited, drv)
+				}
+			}
+			return edited
+		}, func() {
+			if err := d.UndoSlide(sl); err != nil {
+				b.Fatal(err)
+			}
+		})
+	})
 }

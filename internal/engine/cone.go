@@ -1,6 +1,6 @@
 package engine
 
-import "math/bits"
+import "mgba/internal/bitset"
 
 // coneScratch is one reusable buffer set for cone walks. Sessions pool
 // them the same way they pool per-run timing scratch: a plain free list
@@ -18,19 +18,25 @@ type coneScratch struct {
 	hit      []bool
 }
 
+// getConeScratch pops a released cone buffer set that fits the session
+// (cut to its topological order) or allocates a new one.
 func (s *Session) getConeScratch() *coneScratch {
-	s.scratchMu.Lock()
-	if n := len(s.coneFree); n > 0 {
-		cs := s.coneFree[n-1]
-		s.coneFree = s.coneFree[:n-1]
-		s.scratchMu.Unlock()
+	words := (len(s.G.Topo) + 63) / 64
+	p := s.pool
+	var cs *coneScratch
+	p.mu.Lock()
+	if n := len(p.coneFree); n > 0 {
+		cs = p.coneFree[n-1]
+		p.coneFree = p.coneFree[:n-1]
+	}
+	p.mu.Unlock()
+	if cs != nil && cap(cs.fwd) >= words {
+		cs.fwd, cs.bwd = cs.fwd[:words], cs.bwd[:words]
 		clear(cs.fwd)
 		clear(cs.bwd)
 		clear(cs.hit)
 		return cs
 	}
-	s.scratchMu.Unlock()
-	words := (len(s.G.Topo) + 63) / 64
 	return &coneScratch{
 		fwd: make([]uint64, words),
 		bwd: make([]uint64, words),
@@ -39,39 +45,10 @@ func (s *Session) getConeScratch() *coneScratch {
 }
 
 func (s *Session) putConeScratch(cs *coneScratch) {
-	s.scratchMu.Lock()
-	s.coneFree = append(s.coneFree, cs)
-	s.scratchMu.Unlock()
-}
-
-// mark sets topological position p in the bitset.
-func mark(set []uint64, p int32) { set[p>>6] |= 1 << (uint32(p) & 63) }
-
-// popLow clears and returns the lowest set position of the bitset, or -1
-// when it is empty. *w is the sweep's word cursor, starting at 0: no
-// position below it may be set again during the sweep.
-func popLow(set []uint64, w *int) int {
-	for ; *w < len(set); *w++ {
-		if x := set[*w]; x != 0 {
-			b := bits.TrailingZeros64(x)
-			set[*w] = x &^ (1 << uint(b))
-			return *w<<6 | b
-		}
-	}
-	return -1
-}
-
-// popHigh is popLow for a descending sweep: *w starts at len(set)-1 and
-// no position above it may be set again during the sweep.
-func popHigh(set []uint64, w *int) int {
-	for ; *w >= 0; *w-- {
-		if x := set[*w]; x != 0 {
-			b := 63 - bits.LeadingZeros64(x)
-			set[*w] = x &^ (1 << uint(b))
-			return *w<<6 | b
-		}
-	}
-	return -1
+	p := s.pool
+	p.mu.Lock()
+	p.coneFree = append(p.coneFree, cs)
+	p.mu.Unlock()
 }
 
 // seedCone marks in cs.fwd every modified instance on the data DAG.
@@ -79,8 +56,8 @@ func popHigh(set []uint64, w *int) int {
 // fanout and no timing of their own, so they seed nothing.
 func (s *Session) seedCone(cs *coneScratch, modified []int) {
 	for _, v := range modified {
-		if v >= 0 && v < s.nInst && s.topoPos[v] >= 0 {
-			mark(cs.fwd, s.topoPos[v])
+		if v >= 0 && v < s.nInst && s.G.Pos[v] >= 0 {
+			bitset.Mark(cs.fwd, int(s.G.Pos[v]))
 		}
 	}
 }
@@ -94,7 +71,7 @@ func (s *Session) growCone(cs *coneScratch, v int) {
 		if fi := g.FFIndex(int(e.To)); fi >= 0 {
 			cs.hit[fi] = true
 		} else {
-			mark(cs.fwd, s.topoPos[e.To])
+			bitset.Mark(cs.fwd, int(s.G.Pos[e.To]))
 		}
 	}
 }
@@ -131,7 +108,7 @@ func (s *Session) FanoutEndpointsInto(dst []int, modified []int) []int {
 	}
 	s.seedCone(cs, modified)
 	w := 0
-	for p := popLow(cs.fwd, &w); p >= 0; p = popLow(cs.fwd, &w) {
+	for p := bitset.PopLow(cs.fwd, &w); p >= 0; p = bitset.PopLow(cs.fwd, &w) {
 		s.growCone(cs, int(g.Topo[p]))
 	}
 	for fi, id := range g.D.FFs {

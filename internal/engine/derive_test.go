@@ -56,6 +56,34 @@ func requireSameSession(t *testing.T, want, got *engine.Session, label string) {
 	}
 }
 
+// requireSameGraph asserts that a derived graph equals one Build made of
+// the same design field for field: every row in edge order, Topo in
+// Build's order, positions, flip-flop positions, clock membership and
+// clock chains.
+func requireSameGraph(t *testing.T, want, got *graph.Graph, label string) {
+	t.Helper()
+	n := len(want.D.Instances)
+	if len(got.Pos) != n || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("%s: derived graph has %d instances and %d edges, want %d and %d", label,
+			len(got.Pos), got.NumEdges(), n, want.NumEdges())
+	}
+	if !slices.Equal(want.Topo, got.Topo) || !slices.Equal(want.Pos, got.Pos) {
+		t.Fatalf("%s: derived topological order differs from Build's", label)
+	}
+	for v := 0; v < n; v++ {
+		if !slices.Equal(want.Fanin(v), got.Fanin(v)) || !slices.Equal(want.Fanout(v), got.Fanout(v)) {
+			t.Fatalf("%s: instance %d: derived rows differ from Build's (fanin %v, want %v; fanout %v, want %v)",
+				label, v, got.Fanin(v), want.Fanin(v), got.Fanout(v), want.Fanout(v))
+		}
+		if want.FFIndex(v) != got.FFIndex(v) || want.IsClock(v) != got.IsClock(v) {
+			t.Fatalf("%s: instance %d: flip-flop position or clock membership differs from Build's", label, v)
+		}
+	}
+	if !slices.EqualFunc(want.ClockChain, got.ClockChain, slices.Equal) {
+		t.Fatalf("%s: derived clock chains differ from Build's", label)
+	}
+}
+
 // requireSameCredits compares every leaf-pair CRPR credit of two analyses
 // of one design, through one representative flip-flop per leaf.
 func requireSameCredits(t *testing.T, want, got *engine.Result, label string) {
@@ -105,16 +133,16 @@ func newTrialRig(t *testing.T, d *netlist.Design, cfg engine.Config) *trialRig {
 }
 
 // trial times the current design state (an edit just applied) through
-// Derive and Rebase, requires the session and the view to equal a fresh
-// session and Run bit for bit, and adopts them when accept is set.
+// Derive and Rebase, requires the graph, the session and the view to
+// equal a fresh Build, session and Run bit for bit, and adopts them when
+// accept is set.
 func (rig *trialRig) trial(edited []int, accept bool, label string) {
 	t := rig.t
 	t.Helper()
-	g, err := graph.Build(rig.d)
+	s2, err := rig.s.Derive(edited)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	s2 := rig.s.Derive(g)
 	cfg := rig.cfg
 	if cfg.Weights != nil {
 		for len(cfg.Weights) < len(rig.d.Instances) {
@@ -129,6 +157,7 @@ func (rig *trialRig) trial(edited []int, accept bool, label string) {
 	}
 	fresh := engine.NewSession(gf)
 	want := fresh.Run(cfg)
+	requireSameGraph(t, gf, s2.G, label)
 	requireSameSession(t, fresh, s2, label)
 	requireIdentical(t, want, r2, label)
 	requireSameCredits(t, want, r2, label)
@@ -144,6 +173,7 @@ func (rig *trialRig) trial(edited []int, accept bool, label string) {
 	}
 	if !accept {
 		r2.Release()
+		s2.Discard() // the next trial fills its storage
 		return
 	}
 	rig.r.Release()
@@ -322,10 +352,11 @@ func (rig *trialRig) clockTrial(label string) bool {
 
 // TestDeriveRebaseMatchesFresh is the equivalence test of the structural
 // trial protocol: on D1–D3 and the buffer and retiming fixtures, under a
-// plain, a weighted and a 1.15-scaled corner config, every derived
-// session equals a fresh NewSession of the edited design (depths, boxes,
-// clock index, clock slices, credits) and every rebased view equals a
-// fresh Run bit for bit. The edits are buffer insertions on data nets,
+// plain, a weighted and a 1.15-scaled corner config, every derived graph
+// equals a fresh graph.Build of the edited design field for field (rows
+// in edge order, Topo in Build's order), every derived session equals a
+// fresh NewSession (depths, boxes, clock index, clock slices, credits)
+// and every rebased view equals a fresh Run bit for bit. The edits are buffer insertions on data nets,
 // every legal retime slide (every sixth under the plain and corner
 // configs, which keeps the test to a few seconds), a hand-made rewire
 // that changes an endpoint's launch leaves and a clock-buffer resize,
@@ -443,11 +474,10 @@ func TestDeriveRebuildsEditedClockState(t *testing.T) {
 		buf := ed.edit(d, g)
 
 		derived, rebuilt := counter("engine.sessions.derived"), counter("engine.sessions.clock_rebuilt")
-		g2, err := graph.Build(d)
+		s2, err := s.Derive([]int{buf})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2 := s.Derive(g2)
 		if n := counter("engine.sessions.derived") - derived; n != 1 {
 			t.Errorf("%s: engine.sessions.derived rose by %d, want 1", ed.name, n)
 		}
@@ -464,6 +494,7 @@ func TestDeriveRebuildsEditedClockState(t *testing.T) {
 		}
 		fresh := engine.NewSession(gf)
 		want := fresh.Run(cfg)
+		requireSameGraph(t, gf, s2.G, ed.name)
 		requireSameSession(t, fresh, s2, ed.name)
 		requireIdentical(t, want, r2, ed.name)
 		requireSameCredits(t, want, r2, ed.name)

@@ -13,10 +13,11 @@
 // once; each Run then costs exactly one forward/backward propagation and
 // allocates nothing on the steady-state path (Release returns a Result's
 // buffers to the session pool). A structural edit of the data network
-// (buffer insertion, retiming) needs a new graph and session, but not a
-// new clock state: Session.Derive shares it while the clock network is
-// provably unchanged, and Result.Rebase carries a view over with one
-// incremental Update.
+// (buffer insertion, retiming) needs a new graph and session, but no
+// rebuild: Session.Derive patches the graph's touched rows, re-derives
+// the DP state over the edit's cones and shares the clock state while
+// the clock network is provably unchanged, and Result.Rebase carries a
+// view over with one incremental Update.
 //
 // Propagation is level-parallel: within each topological level no instance
 // depends on another, so levels are partitioned across a worker pool

@@ -13,9 +13,9 @@ func (s *Session) NumClockStates() int {
 // FreeScratch reports how many released per-run buffer sets sit in the
 // session pool.
 func (s *Session) FreeScratch() int {
-	s.scratchMu.Lock()
-	defer s.scratchMu.Unlock()
-	return len(s.free)
+	s.pool.mu.Lock()
+	defer s.pool.mu.Unlock()
+	return len(s.pool.free)
 }
 
 // NumLevels reports the number of topological levels of the data DAG.

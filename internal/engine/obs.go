@@ -15,6 +15,10 @@ var (
 	obsSessionsDerived = obs.NewCounter("engine.sessions.derived")
 	obsClockRebuilt    = obs.NewCounter("engine.sessions.clock_rebuilt")
 
+	// Per Derive, added once: instances whose depth, box or launch-leaf
+	// state the derivation's cone sweeps re-derived.
+	obsDeriveEvals = obs.NewCounter("engine.derive_evals")
+
 	// Per Update, added once: instances the forward cone re-evaluated,
 	// and required times the backward sweep re-derived.
 	obsUpdateEvals     = obs.NewCounter("engine.update_evals")

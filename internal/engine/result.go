@@ -2,8 +2,10 @@ package engine
 
 import (
 	"math"
+	"slices"
 
 	"mgba/internal/aocv"
+	"mgba/internal/bitset"
 	"mgba/internal/graph"
 	"mgba/internal/obs"
 )
@@ -57,9 +59,10 @@ func (r *Result) Release() {
 	}
 	sc := r.sc
 	r.sc = nil
-	r.S.scratchMu.Lock()
-	r.S.free = append(r.S.free, sc)
-	r.S.scratchMu.Unlock()
+	p := r.S.pool
+	p.mu.Lock()
+	p.free = append(p.free, sc)
+	p.mu.Unlock()
 }
 
 // Clone returns an independent copy of the Result backed by its own
@@ -74,7 +77,9 @@ func (r *Result) Clone() *Result {
 		return nil
 	}
 	sc := r.S.getScratch()
-	copy(sc.backInst, r.sc.backInst)
+	for i, src := range r.sc.inst() {
+		copy(sc.inst()[i], src)
+	}
 	copy(sc.backFF, r.sc.backFF)
 	cl := *r
 	cl.sc = sc
@@ -381,8 +386,8 @@ func (r *Result) ViolatingEndpoints() []int {
 // recompute is then a pure function of inputs that kept their bits.
 //
 // Connectivity changes (buffer insertion, retiming) invalidate the graph
-// and the session: rebuild the graph with graph.Build, Derive its session
-// from r's, and Rebase r onto it instead.
+// and the session: Derive the new session from r's and Rebase r onto it
+// instead.
 func (r *Result) Update(modified []int) {
 	if len(modified) == 0 {
 		return
@@ -393,14 +398,14 @@ func (r *Result) Update(modified []int) {
 	s.seedCone(cs, modified)
 	evals, rederived := 0, 0
 	w := 0
-	for p := popLow(cs.fwd, &w); p >= 0; p = popLow(cs.fwd, &w) {
+	for p := bitset.PopLow(cs.fwd, &w); p >= 0; p = bitset.PopLow(cs.fwd, &w) {
 		v := int(g.Topo[p])
 		r.evalInstance(v)
 		evals++
 		s.growCone(cs, v)
-		mark(cs.bwd, int32(p))
+		bitset.Mark(cs.bwd, p)
 		for _, e := range g.Fanin(v) {
-			mark(cs.bwd, s.topoPos[e.From])
+			bitset.Mark(cs.bwd, int(s.G.Pos[e.From]))
 		}
 	}
 	for fi, hit := range cs.hit {
@@ -409,7 +414,7 @@ func (r *Result) Update(modified []int) {
 		}
 	}
 	w = len(cs.bwd) - 1
-	for p := popHigh(cs.bwd, &w); p >= 0; p = popHigh(cs.bwd, &w) {
+	for p := bitset.PopHigh(cs.bwd, &w); p >= 0; p = bitset.PopHigh(cs.bwd, &w) {
 		v := int(g.Topo[p])
 		req := r.requiredAt(v)
 		rederived++
@@ -421,7 +426,7 @@ func (r *Result) Update(modified []int) {
 			// A flip-flop's own required time feeds no other: its
 			// fan-in drivers see only its endpoint required time.
 			for _, e := range g.Fanin(v) {
-				mark(cs.bwd, s.topoPos[e.From])
+				bitset.Mark(cs.bwd, int(s.G.Pos[e.From]))
 			}
 		}
 	}
@@ -442,17 +447,17 @@ func (r *Result) Update(modified []int) {
 // fan-in, fan-out, output load or output net changed, and those it
 // created (a structural Move's DirtySet). Rebase adds what else differs
 // between the two sessions: the instances whose GBA depth or distance
-// moved (DerateDiff), the instances that joined the data DAG, and the
+// moved (s.Moved), the instances that joined the data DAG, and the
 // flip-flops whose clock insertion delays or conservative credit moved.
-// Every slot off s's data DAG is reset to what a Run leaves there (zero,
-// RequiredOut +Inf). cfg may differ from r.Cfg only in Weights and
-// DelayOverride entries of instances edited lists or r's session never
-// timed. The edit must keep the flip-flop list: per-endpoint slots are
-// carried over by position.
+// Every slot that left s's data DAG or joined its geometry off the DAG is
+// reset to what a Run leaves there (zero, RequiredOut +Inf). cfg may
+// differ from r.Cfg only in Weights and DelayOverride entries of
+// instances edited lists or r's session never timed. Per-endpoint slots
+// are carried over by position: Derive keeps the flip-flop list.
 func (r *Result) Rebase(s *Session, cfg Config, edited []int) *Result {
 	old := r.S
-	if s.nFF != old.nFF {
-		panic("engine: Rebase across a change of the flip-flop list")
+	if s.parent != old.id {
+		panic("engine: Rebase onto a session not Derived from the Result's")
 	}
 	nr := s.newResult(cfg)
 	n := min(old.nInst, s.nInst)
@@ -465,14 +470,16 @@ func (r *Result) Rebase(s *Session, cfg Config, edited []int) *Result {
 		copy(sl[0][:n], sl[1][:n])
 	}
 	copy(nr.sc.backFF, r.sc.backFF)
-	seeds := append(DerateDiff(old, s), edited...)
-	for v, p := range s.topoPos {
-		if p < 0 {
+	seeds := append(slices.Clone(s.moved), edited...)
+	// Every instance that joined or left the data DAG, or that the edit
+	// created, has its graph rows rebuilt.
+	for _, v := range s.rows {
+		if s.G.Pos[v] < 0 {
 			nr.NominalDelay[v], nr.Derate[v], nr.CellDelay[v], nr.WireDelay[v] = 0, 0, 0, 0
 			nr.Slew[v], nr.ArrivalOut[v], nr.MinArrival[v] = 0, 0, 0
 			nr.RequiredOut[v] = unconstrained
-		} else if v >= old.nInst || old.topoPos[v] < 0 {
-			seeds = append(seeds, v)
+		} else if int(v) >= old.nInst || old.G.Pos[v] < 0 {
+			seeds = append(seeds, int(v))
 		}
 	}
 	bits := math.Float64bits
@@ -485,21 +492,4 @@ func (r *Result) Rebase(s *Session, cfg Config, edited []int) *Result {
 	}
 	nr.Update(seeds)
 	return nr
-}
-
-// DerateDiff returns the instances of old whose graph-derived derate
-// inputs, GBA depth or GBA distance, differ in cur, a session Derived
-// from old. A structural edit can shift them far from its own
-// neighborhood (depth suffixes and box unions propagate against the data
-// flow), and any such instance times differently although nothing around
-// it was edited. Instances cur gained are not listed.
-func DerateDiff(old, cur *Session) []int {
-	var out []int
-	for i := range min(old.nInst, cur.nInst) {
-		if old.Depths.GBA[i] != cur.Depths.GBA[i] ||
-			old.Boxes.GBADistance[i] != cur.Boxes.GBADistance[i] {
-			out = append(out, i)
-		}
-	}
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"mgba/internal/aocv"
 	"mgba/internal/cells"
@@ -21,10 +22,10 @@ import (
 //
 // A Session is safe for concurrent Runs. It becomes stale when the
 // design's connectivity, placement, or clock tree changes (buffer
-// insertion, cell moves): rebuild the graph with graph.Build, Derive the
-// new Session from the stale one, and Rebase the stale Results onto it.
-// Gate resizing on the data path does not invalidate it — that is what
-// Result.Update is for.
+// insertion, retiming, cell moves): Derive the new Session from the stale
+// one over the instances the edit touched, and Rebase the stale Results
+// onto it. Gate resizing on the data path does not invalidate it — that
+// is what Result.Update is for.
 //
 // The Session's geometry — its instance and flip-flop counts — is fixed
 // when it is built: every per-run buffer it hands out keeps it, so
@@ -36,6 +37,14 @@ type Session struct {
 
 	nInst, nFF int // geometry at build time: len(D.Instances), len(D.FFs)
 
+	// id names the session; a Derived one records its parent's in parent
+	// (0 for a built one), and what the derivation re-derived: rows, the
+	// instances whose graph rows it rebuilt, and moved, those whose GBA
+	// depth or distance changed. Rebase reads them.
+	id, parent uint64
+	rows       []int32
+	moved      []int
+
 	// Levelization of the data DAG, built by the first Run: level 0 holds
 	// the flip-flops (path sources), level l>0 the combinational gates
 	// whose deepest fanin sits at level l-1. levelOrder lists instances
@@ -45,14 +54,21 @@ type Session struct {
 	levelOrder []int32
 	levelOff   []int
 
-	topoPos []int32 // topological position per instance ID, -1 off the data DAG
-
 	mu     sync.Mutex
 	clocks map[clockKey]*clockState // per clock configuration
 
-	scratchMu sync.Mutex
-	free      []*scratch     // released per-run buffer sets
-	coneFree  []*coneScratch // released forward-cone walk buffers
+	pool *pool // released per-run buffers, shared with Derived sessions
+}
+
+// pool holds released per-run buffers. A Session shares its pool with the
+// sessions Derived from it, which keep its flip-flop list: a buffer set
+// fits any of them with at most as many instances as it was made for, so
+// a structural trial runs on the buffers the previous trial released.
+type pool struct {
+	mu       sync.Mutex
+	free     []*scratch     // released per-run buffer sets
+	coneFree []*coneScratch // released cone-walk buffers
+	arena    *graph.Arena   // a discarded trial's graph and DP storage
 }
 
 // clockKey identifies the clock-dependent immutable state: clock insertion
@@ -119,77 +135,114 @@ func (cs *clockState) unchanged(d *netlist.Design) bool {
 
 var unconstrained = math.Inf(1)
 
+// sessionIDs hands out session ids.
+var sessionIDs atomic.Uint64
+
 // NewSession computes the design-derived immutable state: depth and
-// bounding-box DPs, topological positions, and the scratch pool geometry.
-// Clock state is derived lazily per clock configuration, and the
-// levelization on the first Run.
+// bounding-box DPs and the scratch pool geometry. Clock state is derived
+// lazily per clock configuration, and the levelization on the first Run.
 func NewSession(g *graph.Graph) *Session {
-	s := &Session{
+	return newSession(g, g.ComputeDepths(), g.ComputeBoxes())
+}
+
+// newSession assembles a session of g over its DPs, with its own pool.
+func newSession(g *graph.Graph, depths *graph.Depths, boxes *graph.Boxes) *Session {
+	return &Session{
 		G:      g,
-		Depths: g.ComputeDepths(),
-		Boxes:  g.ComputeBoxes(),
+		Depths: depths,
+		Boxes:  boxes,
 		clocks: make(map[clockKey]*clockState),
 		nInst:  len(g.D.Instances),
 		nFF:    len(g.D.FFs),
+		id:     sessionIDs.Add(1),
+		pool:   &pool{},
 	}
-	s.topoPos = make([]int32, s.nInst)
-	for i := range s.topoPos {
-		s.topoPos[i] = -1
-	}
-	for pos, v := range g.Topo {
-		s.topoPos[v] = int32(pos)
-	}
-	return s
 }
 
-// Derive returns the Session of g, a graph rebuilt from s's design after
-// a structural edit of its data network (a buffer insertion, a retiming
-// slide), equal to NewSession(g) in every state it holds. It computes
-// what such an edit can move (depths, boxes, topological positions) and
-// takes over each of s's clock states whose inputs the edit provably
+// Derive returns the Session of s's design after a structural edit of
+// its data network (a buffer insertion or removal, a retiming slide or
+// its undo) that keeps the flip-flop list, equal to
+// NewSession(graph.Build(d)) in every state it holds, at the cost of
+// what the edit reached. edited lists the instances the edit touched
+// directly (a structural Move's DirtySet; see graph.Derive). Derive patches s's graph over the edit (graph.Derive,
+// which fails wherever graph.Build would), then carries s's depths and
+// boxes over, re-deriving them forward and backward from the rebuilt
+// rows and stopping where a value keeps its bits (graph.DeriveDP). It
+// records the instances whose GBA depth or distance moved (Moved).
+//
+// It takes over each of s's clock states whose inputs the edit provably
 // left alone: the same flip-flop list and clock chains, and every chain
 // buffer's cell, output load, wire delay and placement equal bit for bit
 // in the design as it stands now. A shared state keeps its insertion
-// delays and leaf-pair credit matrix, and g takes over the tree part of
-// s's clock index; the conservative endpoint credit is re-derived,
-// because it reads the launch-leaf reachability of the new data graph. A
-// state whose inputs moved is rebuilt from scratch
-// (engine.sessions.clock_rebuilt).
-func (s *Session) Derive(g *graph.Graph) *Session {
-	obsSessionsDerived.Inc()
-	ns := NewSession(g)
+// delays and leaf-pair credit matrix, and the derived graph takes over
+// s's clock index, advancing its launch-leaf reachability over the
+// edit's cone; the conservative endpoint credit is re-derived for the
+// endpoints whose launch leaves moved. A state whose inputs moved is
+// rebuilt from scratch (engine.sessions.clock_rebuilt).
+func (s *Session) Derive(edited []int) (*Session, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.clocks) == 0 {
-		return ns
+	s.pool.mu.Lock()
+	a := s.pool.arena
+	s.pool.arena = nil
+	s.pool.mu.Unlock()
+	g, dl, err := s.G.Derive(edited, a)
+	if err != nil {
+		return nil, err
 	}
-	sameTree := g.ShareClockTree(s.G)
+	obsSessionsDerived.Inc()
+	depths, boxes := g.DeriveDP(dl, s.Depths, s.Boxes)
+	obsDeriveEvals.Add(int64(dl.Evals))
+	ns := newSession(g, depths, boxes)
+	ns.parent, ns.rows, ns.moved, ns.pool = s.id, dl.Rows, dl.Moved, s.pool
 	for key, cs := range s.clocks {
-		if sameTree && cs.unchanged(g.D) {
-			ns.clocks[key] = ns.shareClockState(cs)
+		if dl.ClockTree && cs.unchanged(g.D) {
+			ns.clocks[key] = ns.shareClockState(cs, dl.LaunchMoved)
 			continue
 		}
 		obsClockRebuilt.Inc()
 		ns.clocks[key] = ns.buildClockState(key)
 	}
-	return ns
+	return ns, nil
 }
 
-// shareClockState takes over cs's insertion delays, credit matrix and
-// recorded inputs, and re-derives the conservative endpoint credit from
-// s's own launch-leaf reachability.
-func (s *Session) shareClockState(cs *clockState) *clockState {
-	ns := &clockState{
-		clockLate:  cs.clockLate,
-		clockEarly: cs.clockEarly,
-		gbaCRPR:    make([]float64, s.nFF),
-		credits:    cs.credits,
-		bufs:       cs.bufs,
+// Discard ends s, a session Derived for a structural trial its caller
+// rejected: the storage of its graph and DPs goes to the pool s shares
+// with its parent, for the next Derive to fill. s, its graph, and every
+// Result and slice read from them must not be used afterwards. Discarding
+// a session NewSession built does nothing.
+func (s *Session) Discard() {
+	a := s.G.Discard()
+	if a == nil {
+		return
 	}
-	if ns.credits != nil {
-		s.endpointCredits(ns)
+	s.pool.mu.Lock()
+	s.pool.arena = a
+	s.pool.mu.Unlock()
+}
+
+// Moved lists, ascending, the instances whose GBA depth or GBA distance
+// Derive moved: the ones a structural edit retimes although nothing
+// around them was edited (depth suffixes and box unions propagate
+// against the data flow). Instances the edit created are not listed. nil
+// for a session NewSession built. Shared storage; callers must not
+// modify.
+func (s *Session) Moved() []int { return s.moved }
+
+// shareClockState takes over cs's insertion delays, credit matrix,
+// recorded inputs and conservative endpoint credits, re-deriving the
+// credit of every endpoint in launchMoved from s's own launch-leaf
+// reachability.
+func (s *Session) shareClockState(cs *clockState, launchMoved []int) *clockState {
+	ns := *cs
+	if ns.credits != nil && len(launchMoved) > 0 {
+		ns.gbaCRPR = slices.Clone(cs.gbaCRPR)
+		ci := s.G.ClockIndex()
+		for _, fi := range launchMoved {
+			ns.gbaCRPR[fi] = endpointCredit(&ns, ci, fi)
+		}
 	}
-	return ns
+	return &ns
 }
 
 // NumInstances returns the design's instance count when the Session was
@@ -421,26 +474,35 @@ func (s *Session) buildCredits(cs *clockState, derates *aocv.Set) {
 func (s *Session) endpointCredits(cs *clockState) {
 	ci := s.G.ClockIndex()
 	for fi := range s.G.D.FFs {
-		leaves := ci.LaunchLeaves[fi]
-		if len(leaves) == 0 {
-			continue
-		}
-		minCredit := math.Inf(1)
-		for _, leaf := range leaves {
-			if c := cs.credits[leaf][ci.LeafOfFF[fi]]; c < minCredit {
-				minCredit = c
-			}
-		}
-		cs.gbaCRPR[fi] = minCredit
+		cs.gbaCRPR[fi] = endpointCredit(cs, ci, fi)
 	}
+}
+
+// endpointCredit is endpoint fi's conservative credit: the smallest pair
+// credit over its launch leaves, 0 when none reaches it.
+func endpointCredit(cs *clockState, ci *graph.ClockIndex, fi int) float64 {
+	leaves := ci.LaunchLeaves[fi]
+	if len(leaves) == 0 {
+		return 0
+	}
+	minCredit := math.Inf(1)
+	for _, leaf := range leaves {
+		if c := cs.credits[leaf][ci.LeafOfFF[fi]]; c < minCredit {
+			minCredit = c
+		}
+	}
+	return minCredit
 }
 
 // scratch is one reusable set of per-run buffers. Instance-indexed slices
 // share one backing array, FF-indexed slices another, so acquiring a fresh
-// set costs two allocations and resetting one is two memclears.
+// set costs two allocations and resetting one is two memclears. The
+// instance arrays sit stride apart, the instance count the set was made
+// for; a session with fewer instances takes it cut shorter.
 type scratch struct {
-	backInst []float64 // 8 instance-sized arrays
+	backInst []float64 // 8 instance-sized arrays, stride apart
 	backFF   []float64 // 4 FF-sized arrays
+	stride   int
 
 	nominalDelay, derate, cellDelay, wireDelay []float64
 	slew, arrivalOut, requiredOut, minArrival  []float64
@@ -451,23 +513,25 @@ func newScratch(n, nf int) *scratch {
 	sc := &scratch{
 		backInst: make([]float64, 8*n),
 		backFF:   make([]float64, 4*nf),
+		stride:   n,
 	}
-	cut := func(back []float64, i, size int) []float64 {
-		return back[i*size : (i+1)*size : (i+1)*size]
-	}
-	sc.nominalDelay = cut(sc.backInst, 0, n)
-	sc.derate = cut(sc.backInst, 1, n)
-	sc.cellDelay = cut(sc.backInst, 2, n)
-	sc.wireDelay = cut(sc.backInst, 3, n)
-	sc.slew = cut(sc.backInst, 4, n)
-	sc.arrivalOut = cut(sc.backInst, 5, n)
-	sc.requiredOut = cut(sc.backInst, 6, n)
-	sc.minArrival = cut(sc.backInst, 7, n)
-	sc.dataAtD = cut(sc.backFF, 0, nf)
-	sc.minAtD = cut(sc.backFF, 1, nf)
-	sc.slack = cut(sc.backFF, 2, nf)
-	sc.holdSlack = cut(sc.backFF, 3, nf)
+	sc.cutInst(n)
+	cut := func(i int) []float64 { return sc.backFF[i*nf : (i+1)*nf : (i+1)*nf] }
+	sc.dataAtD, sc.minAtD, sc.slack, sc.holdSlack = cut(0), cut(1), cut(2), cut(3)
 	return sc
+}
+
+// cutInst cuts the instance arrays to n instances.
+func (sc *scratch) cutInst(n int) {
+	cut := func(i int) []float64 { return sc.backInst[i*sc.stride : i*sc.stride+n : i*sc.stride+n] }
+	sc.nominalDelay, sc.derate, sc.cellDelay, sc.wireDelay = cut(0), cut(1), cut(2), cut(3)
+	sc.slew, sc.arrivalOut, sc.requiredOut, sc.minArrival = cut(4), cut(5), cut(6), cut(7)
+}
+
+// inst lists the instance arrays in a fixed order.
+func (sc *scratch) inst() [8][]float64 {
+	return [8][]float64{sc.nominalDelay, sc.derate, sc.cellDelay, sc.wireDelay,
+		sc.slew, sc.arrivalOut, sc.requiredOut, sc.minArrival}
 }
 
 // reset zeroes every buffer so a recycled scratch is indistinguishable
@@ -480,17 +544,23 @@ func (sc *scratch) reset() {
 
 // getScratch pops a released buffer set or allocates a new one. A plain
 // free list (rather than sync.Pool) keeps reuse deterministic: in the
-// steady state of a re-timing loop the same buffers cycle forever.
+// steady state of a re-timing loop the same buffers cycle forever. A set
+// too small for the session (released by a smaller session of the pool)
+// is dropped.
 func (s *Session) getScratch() *scratch {
-	s.scratchMu.Lock()
-	if n := len(s.free); n > 0 {
-		sc := s.free[n-1]
-		s.free = s.free[:n-1]
-		s.scratchMu.Unlock()
+	p := s.pool
+	var sc *scratch
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		sc = p.free[n-1]
+		p.free = p.free[:n-1]
+	}
+	p.mu.Unlock()
+	if sc != nil && sc.stride >= s.nInst {
 		sc.reset()
+		sc.cutInst(s.nInst)
 		return sc
 	}
-	s.scratchMu.Unlock()
 	return newScratch(s.nInst, s.nFF)
 }
 

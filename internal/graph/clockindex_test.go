@@ -109,10 +109,12 @@ func TestClockIndexCached(t *testing.T) {
 	}
 }
 
-// TestShareClockTree pins the clock-tree check behind derived sessions: a
-// buffer on a data net keeps the tree, and the index the rebuilt graph
-// takes over equals one built from scratch; a buffer on a clock leaf net
-// lengthens that leaf's chain and must not be shared.
+// TestShareClockTree pins the clock-tree check behind derived graphs: a
+// buffer on a data net keeps the tree, so the derived graph shares the
+// chains and takes over the parent's clock index, which then equals one
+// built from scratch; a buffer on a clock leaf net lengthens that leaf's
+// chain, so the derived graph rebuilds its chains and leaves its index
+// to be built.
 func TestShareClockTree(t *testing.T) {
 	g := coneGraph(t)
 	d := g.D
@@ -125,20 +127,20 @@ func TestShareClockTree(t *testing.T) {
 			break
 		}
 	}
-	if _, err := d.InsertBuffer(net, buf, "databuf"); err != nil {
+	b, err := d.InsertBuffer(net, buf, "databuf")
+	if err != nil {
 		t.Fatal(err)
 	}
-	build := func() *graph.Graph {
-		t.Helper()
-		g, err := graph.Build(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
+	g2, dl, err := g.Derive([]int{b.ID}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	g2, fresh := build(), build()
-	if !g2.ShareClockTree(g) {
+	if !dl.ClockTree {
 		t.Fatal("a buffer on a data net changed the clock tree")
+	}
+	fresh, err := graph.Build(d)
+	if err != nil {
+		t.Fatal(err)
 	}
 	got, want := g2.ClockIndex(), fresh.ClockIndex()
 	if !slices.Equal(got.LeafOfFF, want.LeafOfFF) || got.NumLeaves() != want.NumLeaves() ||
@@ -155,10 +157,21 @@ func TestShareClockTree(t *testing.T) {
 	}
 
 	clkBuf := d.Lib.Variants(cells.ClkBuf)[0]
-	if _, err := d.InsertBuffer(d.Instances[d.FFs[0]].Clock, clkBuf, "clkbuf"); err != nil {
+	cb, err := d.InsertBuffer(d.Instances[d.FFs[0]].Clock, clkBuf, "clkbuf")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if build().ShareClockTree(g2) {
+	g3, dl, err := g2.Derive([]int{cb.ID}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dl.ClockTree {
 		t.Fatal("a buffer on a clock leaf net kept the clock tree")
+	}
+	if fresh, err = graph.Build(d); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(g3.ClockChain, fresh.ClockChain, slices.Equal) {
+		t.Fatal("the derived graph's rebuilt clock chains differ from Build's")
 	}
 }

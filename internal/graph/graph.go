@@ -18,7 +18,8 @@ package graph
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
+	"sync"
 
 	"mgba/internal/cells"
 	"mgba/internal/netlist"
@@ -37,12 +38,14 @@ type Edge struct {
 var indexLimit = int64(math.MaxInt32)
 
 // Graph is the structural timing graph of one design. It becomes stale when
-// the design's connectivity changes (buffer insertion); rebuild it then.
-// Gate resizing does not change the structure.
+// the design's connectivity changes (buffer insertion, retiming); Derive
+// the new one from it then, over the instances the edit touched. Gate
+// resizing does not change the structure.
 type Graph struct {
 	D *netlist.Design
 
 	Topo []int32 // data instances (FFs + combinational) in topological order
+	Pos  []int32 // topological position per instance ID, -1 off the data DAG
 
 	// ClockChain[i] lists, for D.FFs[i], the clock-buffer instance IDs from
 	// the clock root down to the FF's CK pin (root-most first). FFs on the
@@ -58,9 +61,31 @@ type Graph struct {
 	faninOff    []int32
 
 	ffPos      []int32     // instance ID -> index into D.FFs, -1 for non-FFs
-	isClock    []bool      // instance is part of the clock tree
+	flags      []uint8     // per instance: clockCell, seqCell
 	clockIndex *ClockIndex // lazy CRPR reachability index
+	arena      *Arena      // a derived graph's storage, for Discard
 }
+
+// Instance flags, read in every sweep without touching the design.
+const (
+	clockCell uint8 = 1 << iota // part of the clock tree
+	seqCell                     // a sequential cell: a path break
+)
+
+// cellFlags returns an instance's flags, read from its cell.
+func cellFlags(in *netlist.Instance) uint8 {
+	var f uint8
+	if in.Cell.Kind == cells.ClkBuf {
+		f |= clockCell
+	}
+	if in.IsFF() {
+		f |= seqCell
+	}
+	return f
+}
+
+func (g *Graph) isClock(v int32) bool { return g.flags[v]&clockCell != 0 }
+func (g *Graph) isSeq(v int32) bool   { return g.flags[v]&seqCell != 0 }
 
 // Fanout returns the data edges leaving instance v's output. Shared
 // storage; callers must not modify.
@@ -86,9 +111,9 @@ func Build(d *netlist.Design) (*Graph, error) {
 	}
 	n := len(d.Instances)
 	g := &Graph{
-		D:       d,
-		ffPos:   make([]int32, n),
-		isClock: make([]bool, n),
+		D:     d,
+		ffPos: make([]int32, n),
+		flags: make([]uint8, n),
 	}
 	for i := range g.ffPos {
 		g.ffPos[i] = -1
@@ -97,44 +122,29 @@ func Build(d *netlist.Design) (*Graph, error) {
 		g.ffPos[ff] = int32(i)
 	}
 	for _, in := range d.Instances {
-		if in.Cell.Kind == cells.ClkBuf {
-			g.isClock[in.ID] = true
-		}
+		g.flags[in.ID] = cellFlags(in)
 	}
-	// Data edges, two passes over the identical sink scan: the first counts
+	// Data edges, two passes over the identical arc scan: the first counts
 	// per-instance degrees, the second fills the CSR arenas through cursor
 	// slices — so each node's edge order matches the historical per-node
 	// append exactly.
 	var nEdges int64
 	emit := func(fill bool) error {
 		for _, in := range d.Instances {
-			if g.isClock[in.ID] || in.Output < 0 {
-				continue
-			}
-			net := d.Nets[in.Output]
-			for _, s := range net.Sinks {
-				sink := d.Instances[s]
-				if sink.Clock == net.ID && sink.IsFF() {
-					continue // CK pin, not a data arc
+			err := g.arcs(in, func(e Edge) {
+				if !fill {
+					g.fanoutOff[e.From+1]++
+					g.faninOff[e.To+1]++
+					nEdges++
+					return
 				}
-				if g.isClock[s] {
-					return fmt.Errorf("graph: data net %d drives clock buffer %s", net.ID, sink.Name)
-				}
-				for pin, inNet := range sink.Inputs {
-					if inNet == net.ID {
-						if !fill {
-							g.fanoutOff[in.ID+1]++
-							g.faninOff[s+1]++
-							nEdges++
-							continue
-						}
-						e := Edge{From: int32(in.ID), To: int32(s), Net: int32(net.ID), Pin: int32(pin)}
-						g.fanoutEdges[g.fanoutOff[in.ID]] = e
-						g.fanoutOff[in.ID]++
-						g.faninEdges[g.faninOff[s]] = e
-						g.faninOff[s]++
-					}
-				}
+				g.fanoutEdges[g.fanoutOff[e.From]] = e
+				g.fanoutOff[e.From]++
+				g.faninEdges[g.faninOff[e.To]] = e
+				g.faninOff[e.To]++
+			})
+			if err != nil {
+				return err
 			}
 		}
 		return nil
@@ -163,17 +173,12 @@ func Build(d *netlist.Design) (*Graph, error) {
 		g.faninOff[v] = g.faninOff[v-1]
 	}
 	g.fanoutOff[0], g.faninOff[0] = 0, 0
-	// Reject clock buffers reading from data cells.
 	for _, in := range d.Instances {
-		if !g.isClock[in.ID] {
-			continue
-		}
-		src := d.Nets[in.Inputs[0]]
-		if src.Driver >= 0 && !g.isClock[src.Driver] {
-			return nil, fmt.Errorf("graph: clock buffer %s driven by data cell", in.Name)
+		if err := g.checkClockInput(in); err != nil {
+			return nil, err
 		}
 	}
-	if err := g.topoSort(); err != nil {
+	if err := g.topoSort(nil, nil); err != nil {
 		return nil, err
 	}
 	if err := g.buildClockChains(); err != nil {
@@ -182,35 +187,73 @@ func Build(d *netlist.Design) (*Graph, error) {
 	return g, nil
 }
 
-// topoSort orders data instances with Kahn's algorithm. Edges into a
-// flip-flop do not count toward its in-degree: registers are path breaks.
-func (g *Graph) topoSort() error {
+// arcs calls emit for every data arc out of instance in, in Build's order:
+// the sinks of its output net in list order, each sink's pins in pin
+// order. A clock buffer or an instance without an output drives no data
+// arc; a CK pin is not one; a clock buffer among the sinks of a data net
+// is an error.
+func (g *Graph) arcs(in *netlist.Instance, emit func(Edge)) error {
+	if g.isClock(int32(in.ID)) || in.Output < 0 {
+		return nil
+	}
 	d := g.D
-	indeg := make([]int32, len(d.Instances))
+	net := d.Nets[in.Output]
+	for _, s := range net.Sinks {
+		sink := d.Instances[s]
+		if sink.Clock == net.ID && g.isSeq(int32(s)) {
+			continue // CK pin, not a data arc
+		}
+		if g.isClock(int32(s)) {
+			return fmt.Errorf("graph: data net %d drives clock buffer %s", net.ID, sink.Name)
+		}
+		for pin, inNet := range sink.Inputs {
+			if inNet == net.ID {
+				emit(Edge{From: int32(in.ID), To: int32(s), Net: int32(net.ID), Pin: int32(pin)})
+			}
+		}
+	}
+	return nil
+}
+
+// checkClockInput rejects a clock buffer reading from a data cell.
+func (g *Graph) checkClockInput(in *netlist.Instance) error {
+	if !g.isClock(int32(in.ID)) {
+		return nil
+	}
+	src := g.D.Nets[in.Inputs[0]]
+	if src.Driver >= 0 && !g.isClock(int32(src.Driver)) {
+		return fmt.Errorf("graph: clock buffer %s driven by data cell", in.Name)
+	}
+	return nil
+}
+
+// topoSort orders data instances with Kahn's algorithm and records each
+// one's position, in the storage of pos and topo where it fits. Edges
+// into a flip-flop do not count toward its in-degree: registers are path
+// breaks.
+func (g *Graph) topoSort(pos, topo []int32) error {
+	n := len(g.flags)
+	indeg := take(pos, n)
+	// The FIFO queue, popped from the front, is the order itself; it
+	// starts with the sources in ID order.
+	queue := take(topo, n)[:0]
 	nData := 0
-	for _, in := range d.Instances {
-		if g.isClock[in.ID] {
+	for v, f := range g.flags {
+		indeg[v] = 0
+		if f&clockCell != 0 {
 			continue
 		}
 		nData++
-		if in.IsFF() {
-			continue // sources regardless of D-pin fanin
+		if f&seqCell == 0 {
+			indeg[v] = g.faninOff[v+1] - g.faninOff[v] // registers are sources regardless
 		}
-		indeg[in.ID] = int32(len(g.Fanin(in.ID)))
-	}
-	queue := make([]int32, 0, nData)
-	for _, in := range d.Instances {
-		if !g.isClock[in.ID] && indeg[in.ID] == 0 {
-			queue = append(queue, int32(in.ID))
+		if indeg[v] == 0 {
+			queue = append(queue, int32(v))
 		}
 	}
-	g.Topo = g.Topo[:0]
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		g.Topo = append(g.Topo, v)
-		for _, e := range g.Fanout(int(v)) {
-			if d.Instances[e.To].IsFF() {
+	for head := 0; head < len(queue); head++ {
+		for _, e := range g.Fanout(int(queue[head])) {
+			if g.isSeq(e.To) {
 				continue
 			}
 			indeg[e.To]--
@@ -219,8 +262,16 @@ func (g *Graph) topoSort() error {
 			}
 		}
 	}
+	g.Topo = queue
 	if len(g.Topo) != nData {
 		return fmt.Errorf("graph: combinational cycle (%d of %d ordered)", len(g.Topo), nData)
+	}
+	g.Pos = indeg // every in-degree is zero now: reuse the array
+	for i := range g.Pos {
+		g.Pos[i] = -1
+	}
+	for p, v := range g.Topo {
+		g.Pos[v] = int32(p)
 	}
 	return nil
 }
@@ -269,7 +320,7 @@ func (g *Graph) FFIndex(instID int) int {
 }
 
 // IsClock reports whether the instance belongs to the clock tree.
-func (g *Graph) IsClock(instID int) bool { return g.isClock[instID] }
+func (g *Graph) IsClock(instID int) bool { return g.isClock(int32(instID)) }
 
 // Endpoints returns the instance IDs of flip-flops whose D pin is driven by
 // a data arc — the timing endpoints.
@@ -314,8 +365,16 @@ type ClockIndex struct {
 
 	// LaunchLeaves[fi] lists the distinct leaf ids of launch FFs with a
 	// data path into endpoint fi (a D.FFs position). The per-endpoint
-	// slices share one backing arena.
+	// slices share one backing arena, or a parent index's.
 	LaunchLeaves [][]int32
+
+	// masks is the launch-leaf reachability per instance, words uint64s
+	// each: the bitset LaunchLeaves is read from. Only Derive needs it, so
+	// a built index computes it on its graph's first Derive (maskOnce) and
+	// a derived one carries its own.
+	masks    []uint64
+	words    int
+	maskOnce sync.Once
 }
 
 // CommonLen returns the shared root-prefix length of leaf chains a and b.
@@ -345,6 +404,7 @@ func (g *Graph) ClockIndex() *ClockIndex {
 	}
 	nl := len(ci.Chains)
 	ci.nl = nl
+	ci.words = (nl + 63) / 64
 	for _, chain := range ci.Chains {
 		if len(chain) > math.MaxUint16 {
 			panic(fmt.Sprintf("graph: clock chain depth %d exceeds uint16 prefix table", len(chain)))
@@ -360,96 +420,97 @@ func (g *Graph) ClockIndex() *ClockIndex {
 			ci.common[a*nl+b] = uint16(n)
 		}
 	}
-	g.launchLeaves(ci)
+	g.launchLeaves(ci, g.leafMasks(ci))
 	g.clockIndex = ci
 	return ci
 }
 
-// ShareClockTree reports whether g and prev, two graphs of one design with
-// prev built before an edit, have the same clock tree: the same flip-flop
-// list and the same clock chain at every flip-flop. That is the whole
-// structural input of the clock index (equal chains end at equal leaf
-// nets), so when it holds and prev has built its index, g takes over the
-// index's tree part (leaf ids, chains, shared-prefix table) and computes
-// only the launch-leaf reachability, which depends on the data graph.
-func (g *Graph) ShareClockTree(prev *Graph) bool {
-	if g.D != prev.D || len(g.ClockChain) != len(prev.ClockChain) {
-		return false
+// leafMasks computes the launch-leaf reachability of every instance over
+// the data graph: a flip-flop launches its own leaf, a combinational gate
+// everything its fanins launch.
+func (g *Graph) leafMasks(ci *ClockIndex) []uint64 {
+	masks := make([]uint64, len(g.D.Instances)*ci.words)
+	for _, v := range g.Topo {
+		g.maskAt(ci, masks, v, ci.mask(masks, v))
 	}
-	for fi, ffID := range g.D.FFs {
-		if ffID >= len(prev.ffPos) || prev.ffPos[ffID] != int32(fi) ||
-			!slices.Equal(g.ClockChain[fi], prev.ClockChain[fi]) {
-			return false
-		}
-	}
-	if pci := prev.clockIndex; pci != nil && g.clockIndex == nil {
-		ci := &ClockIndex{LeafOfFF: pci.LeafOfFF, Chains: pci.Chains, common: pci.common, nl: pci.nl}
-		g.launchLeaves(ci)
-		g.clockIndex = ci
-	}
-	return true
+	return masks
 }
 
-// launchLeaves fills ci.LaunchLeaves: the launch-leaf reachability over
-// the data graph, as bitsets backed by one arena (O(V·nl/64) transient,
-// freed when this function returns).
-func (g *Graph) launchLeaves(ci *ClockIndex) {
+// mask returns instance v's reachability bitset within masks.
+func (ci *ClockIndex) mask(masks []uint64, v int32) []uint64 {
+	return masks[int(v)*ci.words : (int(v)+1)*ci.words]
+}
+
+// maskAt derives instance v's reachability bitset into dst from the masks
+// of its fanins. It reads nothing of the design but the graph, so a
+// parent graph's masks can be computed after the design moved on.
+func (g *Graph) maskAt(ci *ClockIndex, masks []uint64, v int32, dst []uint64) {
+	clear(dst)
+	if fi := g.ffPos[v]; fi >= 0 {
+		leaf := ci.LeafOfFF[fi]
+		dst[leaf/64] |= 1 << (uint(leaf) % 64)
+		return
+	}
+	for _, e := range g.Fanin(int(v)) {
+		orInto(dst, ci.mask(masks, e.From))
+	}
+}
+
+func orInto(dst, src []uint64) {
+	for w := range dst {
+		dst[w] |= src[w]
+	}
+}
+
+// endpointMask ORs into acc (cleared first) the masks of endpoint ffID's
+// D-pin drivers.
+func (g *Graph) endpointMask(ci *ClockIndex, masks []uint64, ffID int, acc []uint64) {
+	clear(acc)
+	for _, e := range g.Fanin(ffID) {
+		orInto(acc, ci.mask(masks, e.From))
+	}
+}
+
+// leavesOf appends the leaf ids set in acc, ascending, to dst.
+func leavesOf(dst []int32, acc []uint64) []int32 {
+	for w, x := range acc {
+		for ; x != 0; x &= x - 1 {
+			dst = append(dst, int32(w*64+bits.TrailingZeros64(x)))
+		}
+	}
+	return dst
+}
+
+// launchLeaves fills ci.LaunchLeaves from the reachability masks, every
+// endpoint's list backed by one arena.
+func (g *Graph) launchLeaves(ci *ClockIndex, masks []uint64) {
 	d := g.D
-	nl := ci.nl
-	words := (nl + 63) / 64
-	arena := make([]uint64, len(d.Instances)*words)
-	mask := func(v int32) []uint64 {
-		return arena[int(v)*words : (int(v)+1)*words]
-	}
-	orInto := func(dst, src []uint64) {
-		for w := range dst {
-			dst[w] |= src[w]
-		}
-	}
-	for _, v := range g.Topo {
-		in := d.Instances[v]
-		if in.IsFF() {
-			leaf := ci.LeafOfFF[g.ffPos[v]]
-			mask(v)[leaf/64] |= 1 << (uint(leaf) % 64)
-			continue
-		}
-		mv := mask(v)
-		for _, e := range g.Fanin(int(v)) {
-			orInto(mv, mask(e.From))
-		}
-	}
 	ci.LaunchLeaves = make([][]int32, len(d.FFs))
-	acc := make([]uint64, words)
-	var leafArena []int32
-	counts := make([]int32, len(d.FFs))
-	for pass := 0; pass < 2; pass++ {
-		off := int32(0)
-		for fi, ffID := range d.FFs {
-			clear(acc)
-			for _, e := range g.Fanin(ffID) {
-				orInto(acc, mask(e.From))
-			}
-			n := int32(0)
-			for leaf := 0; leaf < nl; leaf++ {
-				if acc[leaf/64]&(1<<(uint(leaf)%64)) != 0 {
-					if pass == 1 {
-						leafArena[off+n] = int32(leaf)
-					}
-					n++
-				}
-			}
-			if pass == 0 {
-				counts[fi] = n
-				off += n
-			} else {
-				ci.LaunchLeaves[fi] = leafArena[off : off+counts[fi] : off+counts[fi]]
-				off += counts[fi]
-			}
-		}
-		if pass == 0 {
-			leafArena = make([]int32, off)
+	acc := make([]uint64, ci.words)
+	n := 0
+	for _, ffID := range d.FFs {
+		g.endpointMask(ci, masks, ffID, acc)
+		for _, x := range acc {
+			n += bits.OnesCount64(x)
 		}
 	}
+	arena := make([]int32, 0, n)
+	for fi, ffID := range d.FFs {
+		g.endpointMask(ci, masks, ffID, acc)
+		start := len(arena)
+		arena = leavesOf(arena, acc)
+		ci.LaunchLeaves[fi] = arena[start:len(arena):len(arena)]
+	}
+}
+
+// ensureMasks computes the index's reachability masks over g, its graph,
+// unless it has them.
+func (ci *ClockIndex) ensureMasks(g *Graph) {
+	ci.maskOnce.Do(func() {
+		if ci.masks == nil {
+			ci.masks = g.leafMasks(ci)
+		}
+	})
 }
 
 // Depths holds the worst-casing cell-depth DP results used by GBA AOCV
@@ -472,9 +533,11 @@ const unreachable = math.MaxInt32
 // ComputeDepths runs the forward/backward minimum-depth DPs. Gates on no
 // complete register-to-register path get GBA depth 1 (maximum derate),
 // which is what a conservative timer assumes for unconstrained logic.
+// Each value is one of the per-instance rules below applied in
+// topological order; Derive re-applies the same rules over an edit's
+// cones.
 func (g *Graph) ComputeDepths() *Depths {
-	d := g.D
-	n := len(d.Instances)
+	n := len(g.D.Instances)
 	dp := &Depths{
 		MinPrefix: make([]int32, n),
 		MinSuffix: make([]int32, n),
@@ -486,83 +549,93 @@ func (g *Graph) ComputeDepths() *Depths {
 	}
 	// Forward: topological order guarantees fanins are final.
 	for _, v := range g.Topo {
-		in := d.Instances[v]
-		if in.IsFF() {
-			dp.MinPrefix[v] = 0
-			continue
-		}
-		best := int32(unreachable)
-		for _, e := range g.Fanin(int(v)) {
-			var cand int32
-			if d.Instances[e.From].IsFF() {
-				cand = 1
-			} else if dp.MinPrefix[e.From] != unreachable {
-				cand = dp.MinPrefix[e.From] + 1
-			} else {
-				continue
-			}
-			if cand < best {
-				best = cand
-			}
-		}
-		dp.MinPrefix[v] = best
+		dp.MinPrefix[v] = g.prefixAt(dp, v)
 	}
-	// Backward.
 	for i := len(g.Topo) - 1; i >= 0; i-- {
 		v := g.Topo[i]
-		in := d.Instances[v]
-		if in.IsFF() {
-			dp.MinSuffix[v] = 0
-			continue
-		}
-		best := int32(unreachable)
-		for _, e := range g.Fanout(int(v)) {
-			var cand int32
-			if d.Instances[e.To].IsFF() {
-				cand = 1
-			} else if dp.MinSuffix[e.To] != unreachable {
-				cand = dp.MinSuffix[e.To] + 1
-			} else {
-				continue
-			}
-			if cand < best {
-				best = cand
-			}
-		}
-		dp.MinSuffix[v] = best
+		dp.MinSuffix[v] = g.suffixAt(dp, v)
 	}
 	for _, v := range g.Topo {
-		in := d.Instances[v]
-		if in.IsFF() {
-			// Launch arc: worst depth among launched paths.
-			best := int32(unreachable)
-			for _, e := range g.Fanout(int(v)) {
-				var cand int32
-				if d.Instances[e.To].IsFF() {
-					cand = 1 // direct FF-to-FF transfer: shallowest possible
-				} else if dp.MinSuffix[e.To] != unreachable {
-					cand = dp.MinSuffix[e.To]
-				} else {
-					continue
-				}
-				if cand < best {
-					best = cand
-				}
-			}
-			if best == unreachable {
-				best = 1
-			}
-			dp.GBA[v] = best
-			continue
-		}
-		pre, suf := dp.MinPrefix[v], dp.MinSuffix[v]
-		if pre == unreachable || suf == unreachable {
-			dp.GBA[v] = 1
-		} else {
-			dp.GBA[v] = pre + suf - 1
-		}
+		dp.GBA[v] = g.gbaAt(dp, v)
 	}
 	return dp
+}
+
+// prefixAt derives MinPrefix[v] from v's fanins: 0 for a flip-flop, else
+// one more than the shallowest reachable fanin (a flip-flop fanin counts
+// as depth 0).
+func (g *Graph) prefixAt(dp *Depths, v int32) int32 {
+	if g.isSeq(v) {
+		return 0
+	}
+	best := int32(unreachable)
+	for _, e := range g.Fanin(int(v)) {
+		var cand int32
+		if g.isSeq(e.From) {
+			cand = 1
+		} else if dp.MinPrefix[e.From] != unreachable {
+			cand = dp.MinPrefix[e.From] + 1
+		} else {
+			continue
+		}
+		if cand < best {
+			best = cand
+		}
+	}
+	return best
+}
+
+// suffixAt derives MinSuffix[v] from v's fanouts, the mirror of prefixAt.
+func (g *Graph) suffixAt(dp *Depths, v int32) int32 {
+	if g.isSeq(v) {
+		return 0
+	}
+	best := int32(unreachable)
+	for _, e := range g.Fanout(int(v)) {
+		var cand int32
+		if g.isSeq(e.To) {
+			cand = 1
+		} else if dp.MinSuffix[e.To] != unreachable {
+			cand = dp.MinSuffix[e.To] + 1
+		} else {
+			continue
+		}
+		if cand < best {
+			best = cand
+		}
+	}
+	return best
+}
+
+// gbaAt derives GBA[v]: MinPrefix+MinSuffix-1 for a combinational gate
+// (1 off any complete path); for a flip-flop, the launch arc's worst
+// depth, the shallowest path its Q pin launches (1 when it launches none).
+func (g *Graph) gbaAt(dp *Depths, v int32) int32 {
+	if !g.isSeq(v) {
+		pre, suf := dp.MinPrefix[v], dp.MinSuffix[v]
+		if pre == unreachable || suf == unreachable {
+			return 1
+		}
+		return pre + suf - 1
+	}
+	best := int32(unreachable)
+	for _, e := range g.Fanout(int(v)) {
+		var cand int32
+		if g.isSeq(e.To) {
+			cand = 1 // direct FF-to-FF transfer: shallowest possible
+		} else if dp.MinSuffix[e.To] != unreachable {
+			cand = dp.MinSuffix[e.To]
+		} else {
+			continue
+		}
+		if cand < best {
+			best = cand
+		}
+	}
+	if best == unreachable {
+		best = 1
+	}
+	return best
 }
 
 // BBox is an axis-aligned placement bounding box; Empty boxes have not
@@ -624,10 +697,11 @@ type Boxes struct {
 }
 
 // ComputeBoxes runs the forward/backward reachable-FF bounding-box DPs and
-// derives the conservative per-gate AOCV distance.
+// derives the conservative per-gate AOCV distance. A combinational gate's
+// capture box sees a flip-flop sink as its placement alone; a flip-flop's
+// own capture box is then widened over its fanout in D.FFs order.
 func (g *Graph) ComputeBoxes() *Boxes {
-	d := g.D
-	n := len(d.Instances)
+	n := len(g.D.Instances)
 	bx := &Boxes{
 		Launch:      make([]BBox, n),
 		Capture:     make([]BBox, n),
@@ -638,39 +712,75 @@ func (g *Graph) ComputeBoxes() *Boxes {
 		bx.Capture[i] = emptyBox()
 	}
 	for _, v := range g.Topo {
-		in := d.Instances[v]
-		if in.IsFF() {
-			bx.Launch[v].addPoint(in.X, in.Y)
-			continue
-		}
-		for _, e := range g.Fanin(int(v)) {
-			bx.Launch[v].union(bx.Launch[e.From])
-		}
-	}
-	// FFs are sources of the topological order, so a plain reverse sweep
-	// would read their capture boxes before initialization: seed them
-	// first, then sweep the combinational gates, then widen the launch
-	// FFs' boxes over their (now final) fanout.
-	for _, ffID := range d.FFs {
-		in := d.Instances[ffID]
-		bx.Capture[ffID].addPoint(in.X, in.Y)
+		bx.Launch[v] = g.launchAt(bx, v)
 	}
 	for i := len(g.Topo) - 1; i >= 0; i-- {
-		v := g.Topo[i]
-		if d.Instances[v].IsFF() {
-			continue
-		}
-		for _, e := range g.Fanout(int(v)) {
-			bx.Capture[v].union(bx.Capture[e.To])
+		if v := g.Topo[i]; !g.isSeq(v) {
+			bx.Capture[v] = g.captureAt(bx, v)
 		}
 	}
-	for _, ffID := range d.FFs {
-		for _, e := range g.Fanout(ffID) {
-			bx.Capture[ffID].union(bx.Capture[e.To])
-		}
+	for fi, ffID := range g.D.FFs {
+		bx.Capture[ffID] = g.ffCaptureAt(bx, int32(ffID), fi)
 	}
 	for _, v := range g.Topo {
 		bx.GBADistance[v] = MaxDistance(bx.Launch[v], bx.Capture[v])
 	}
 	return bx
+}
+
+// pointBox is the box of instance v's placement alone.
+func (g *Graph) pointBox(v int32) BBox {
+	b := emptyBox()
+	in := g.D.Instances[v]
+	b.addPoint(in.X, in.Y)
+	return b
+}
+
+// launchAt derives Launch[v]: a flip-flop's own placement, else the union
+// of its fanins' launch boxes in fanin order.
+func (g *Graph) launchAt(bx *Boxes, v int32) BBox {
+	if g.isSeq(v) {
+		return g.pointBox(v)
+	}
+	b := emptyBox()
+	for _, e := range g.Fanin(int(v)) {
+		b.union(bx.Launch[e.From])
+	}
+	return b
+}
+
+// captureAt derives Capture[v] of a combinational gate: the union, in
+// fanout order, of its combinational sinks' capture boxes and its
+// flip-flop sinks' placements (a sequential cell outside D.FFs adds
+// nothing).
+func (g *Graph) captureAt(bx *Boxes, v int32) BBox {
+	b := emptyBox()
+	for _, e := range g.Fanout(int(v)) {
+		switch {
+		case g.ffPos[e.To] >= 0:
+			b.union(g.pointBox(e.To))
+		case !g.isSeq(e.To):
+			b.union(bx.Capture[e.To])
+		}
+	}
+	return b
+}
+
+// ffCaptureAt derives Capture[ff] of the flip-flop at D.FFs position fi:
+// its placement widened, in fanout order, by each sink's capture box as
+// the D.FFs-order widening finds it — final for a combinational sink and
+// for a flip-flop widened before this one, the bare placement for one
+// widened after it. A self-loop adds nothing.
+func (g *Graph) ffCaptureAt(bx *Boxes, ff int32, fi int) BBox {
+	b := g.pointBox(ff)
+	for _, e := range g.Fanout(int(ff)) {
+		switch j := g.ffPos[e.To]; {
+		case e.To == ff:
+		case int(j) > fi:
+			b.union(g.pointBox(e.To))
+		default:
+			b.union(bx.Capture[e.To])
+		}
+	}
+	return b
 }

@@ -139,6 +139,7 @@ func TestGracefulShutdownThenResume(t *testing.T) {
 			wantStatus(t, doJSON(t, "POST", tsA.URL+"/v1/sessions",
 				createRequest{ID: "term", DesignJSON: designJSON(t, d), Corners: corners}, nil), http.StatusCreated)
 			wantStatus(t, doJSON(t, "POST", tsA.URL+"/v1/sessions/term/batch", upsizeBatch(ids), nil), http.StatusOK)
+			before := getStatus(t, tsA.URL, "term")
 			final := getSlacks(t, tsA.URL, "term")
 			tsA.Close()
 			ctx, cancel := ctxWithTimeout(10 * time.Second)
@@ -156,6 +157,14 @@ func TestGracefulShutdownThenResume(t *testing.T) {
 				tsB.Close()
 				shutdownServer(t, svB)
 			}()
+			// The status comes first: it must not wait for a /slacks read
+			// to report the resumed session's timing.
+			after := getStatus(t, tsB.URL, "term")
+			if math.Float64bits(before.WNS) != math.Float64bits(after.WNS) ||
+				math.Float64bits(before.TNS) != math.Float64bits(after.TNS) || before.Endpoints != after.Endpoints {
+				t.Errorf("status WNS/TNS/endpoints %v/%v/%d before the restart, %v/%v/%d after",
+					before.WNS, before.TNS, before.Endpoints, after.WNS, after.TNS, after.Endpoints)
+			}
 			resumed := getSlacks(t, tsB.URL, "term")
 
 			if final.Weights == nil {

@@ -433,9 +433,11 @@ func (sv *Server) flushAfterBatch(s *session) {
 	}
 }
 
-// statusLocked renders the session's externally visible state. Caller
-// holds s.mu.
+// statusLocked renders the session's externally visible state, reading
+// the timing through ensureSlacks so a resumed session reports what it
+// served before the restart. Caller holds s.mu.
 func (sv *Server) statusLocked(s *session) sessionStatus {
+	s.ensureSlacks()
 	return sessionStatus{
 		ID:         s.id,
 		Source:     s.source,

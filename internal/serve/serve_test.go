@@ -155,6 +155,14 @@ func getSlacks(t *testing.T, base, id string) slacksResponse {
 	return sl
 }
 
+func getStatus(t *testing.T, base, id string) sessionStatus {
+	t.Helper()
+	var st sessionStatus
+	resp := doJSON(t, "GET", base+"/v1/sessions/"+id, nil, &st)
+	wantStatus(t, resp, http.StatusOK)
+	return st
+}
+
 func upsizeBatch(ids []int) batchRequest {
 	ops := make([]Op, len(ids))
 	for i, id := range ids {

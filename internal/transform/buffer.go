@@ -88,5 +88,5 @@ func (m *bufferMove) Revert(a *Analysis) error {
 // DirtySet implements Move: the split net's sinks (their input net
 // changed), its driver (its load changed) and the new buffer. Instances
 // whose graph-derived depth or bounding box the insertion moved further
-// away are the caller's to add, from the rebuilt session.
+// away are the caller's to add, from the derived session.
 func (m *bufferMove) DirtySet() []int { return m.dirty }

@@ -14,10 +14,11 @@
 //     untouched, the flow advances its Result in place with
 //     Result.Update(DirtySet) — thousands of trials against one session.
 //   - ConnectivityChanging (buffer insertion, retiming): the move rewires
-//     the graph — a buffer also appends an instance — so the flow rebuilds
-//     the graph, derives a trial session from its own and rebases its
-//     view onto it (engine Session.Derive, Result.Rebase). A rejected
-//     move is reverted and the pre-trial session stays; an accepted one
+//     the graph — a buffer also appends an instance — so the flow derives
+//     a trial session from its own over the DirtySet, patching its graph,
+//     and rebases its view onto it (engine Session.Derive, Result.Rebase).
+//     A rejected move is reverted, the trial session discarded and the
+//     pre-trial session stays; an accepted one
 //     is adopted, the persistent calibrator is rebound to it, and the
 //     dirty set, widened with the instances whose graph-derived depth or
 //     bounding box moved, drives an exact *incremental* recalibration.

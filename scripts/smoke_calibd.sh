@@ -2,10 +2,11 @@
 # Smoke-test the calibration daemon end to end, including crash recovery:
 # start calibd on a free port with a snapshot directory, create a session
 # on the toy design (plus two multi-corner ones, one selecting on the
-# slow corner), apply sizing batches, read the slacks, SIGTERM the daemon
-# (graceful drain + snapshot), restart it on the same snapshot directory,
-# and assert the resumed sessions serve byte-identical slacks and keep
-# their corner sets.
+# slow corner), apply sizing batches, read the status and the slacks,
+# SIGTERM the daemon (graceful drain + snapshot), restart it on the same
+# snapshot directory, and assert the resumed sessions report the same
+# WNS, TNS and endpoint count in their status before any slack read,
+# serve byte-identical slacks and keep their corner sets.
 set -euo pipefail
 
 tmp=$(mktemp -d)
@@ -114,6 +115,18 @@ esac
 
 scbefore=$(curl -fsS "http://$addr/v1/sessions/slowsel/slacks")
 
+# timing STATUS: the status body's endpoint count, WNS and TNS fields.
+timing() {
+    printf '%s' "$1" | grep -o '"\(endpoints\|wns_ps\|tns_ps\)":[^,}]*' | tr '\n' ' '
+}
+statusbefore=$(timing "$(curl -fsS "http://$addr/v1/sessions/smoke")")
+case "$statusbefore" in
+*'"endpoints":0'* | *'"wns_ps":0 '*)
+    echo "smoke_calibd: status before the restart reports no timing: $statusbefore" >&2
+    exit 1
+    ;;
+esac
+
 # Graceful shutdown: drain and snapshot, then make sure the process is gone.
 kill -TERM "$pid"
 wait "$pid" 2>/dev/null || true
@@ -122,6 +135,8 @@ log2=$(mktemp)
 start_daemon "$log2"
 trap 'kill "$pid" 2>/dev/null || true' EXIT
 
+# The first request to the resumed session is its status: it must report
+# the timing the session served before the restart without a /slacks read.
 status=$(curl -fsS "http://$addr/v1/sessions/smoke")
 case "$status" in
 *'"applied_batches":1'*) ;;
@@ -130,6 +145,12 @@ case "$status" in
     exit 1
     ;;
 esac
+if [ "$(timing "$status")" != "$statusbefore" ]; then
+    echo "smoke_calibd: resumed status timing differs from pre-restart status" >&2
+    echo "before: $statusbefore" >&2
+    echo "after:  $(timing "$status")" >&2
+    exit 1
+fi
 
 mcstatus=$(curl -fsS "http://$addr/v1/sessions/mc")
 case "$mcstatus" in
@@ -163,4 +184,4 @@ kill -TERM "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
 rm -rf "$tmp"
 
-echo "smoke_calibd: ok (resumed slacks byte-identical across restart, slow selection corner included; corner set preserved)"
+echo "smoke_calibd: ok (resumed status timing and slacks identical across restart, slow selection corner included; corner set preserved)"
