@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"mgba/internal/engine"
 	"mgba/internal/faultinject"
@@ -18,10 +19,16 @@ import (
 // occurrence over rows, and appends every path's row to each corner's
 // system, so the N corner systems are row-aligned over the shared columns.
 type assembler struct {
-	c     *Calibrator
-	colOf map[int]int
-	cols  []int    // column -> instance ID
+	c *Calibrator
+	// colOf maps an instance ID to its column plus one (0: no column yet).
+	// It is dense over the session's instances and lives as long as one
+	// assembly.
+	colOf []int32
+	ncols int
 	sys   []system // per corner
+	// idx and val hold one row under construction, reused row to row.
+	idx []int
+	val []float64
 	// recal marks rows rebuilt by an incremental call; each passes through
 	// the faultinject.RecalibrateRow hook.
 	recal bool
@@ -36,7 +43,7 @@ type system struct {
 }
 
 func newAssembler(c *Calibrator, recal bool) *assembler {
-	a := &assembler{c: c, colOf: map[int]int{}, sys: make([]system, len(c.corners)), recal: recal}
+	a := &assembler{c: c, colOf: make([]int32, c.sess.NumInstances()), sys: make([]system, len(c.corners)), recal: recal}
 	for i := range a.sys {
 		a.sys[i].b = sparse.NewBuilder(0)
 	}
@@ -46,28 +53,57 @@ func newAssembler(c *Calibrator, recal bool) *assembler {
 // rows returns the number of rows assembled so far.
 func (a *assembler) rows() int { return len(a.sys[0].targets) }
 
+// columns returns the instance ID of every column, in column order (nil
+// before the first column).
+func (a *assembler) columns() []int {
+	if a.ncols == 0 {
+		return nil
+	}
+	cols := make([]int, a.ncols)
+	for id, c := range a.colOf {
+		if c > 0 {
+			cols[c-1] = id
+		}
+	}
+	return cols
+}
+
 // add appends the rows of every path of groups, in order, to each
 // corner's system; tg[k][gi][j] is path groups[gi][j]'s golden timing
-// under corner k.
+// under corner k. The storage first grows by the row and cell counts of
+// groups: once, at its exact size, for an incremental call's whole
+// population, and amortized shard by shard on a cold stream.
 func (a *assembler) add(groups [][]*pba.Path, tg [][][]*pba.Timing) error {
+	rows, cells, longest := populationSize(groups)
+	for k := range a.sys {
+		s := &a.sys[k]
+		s.b.Grow(rows, cells)
+		s.targets = slices.Grow(s.targets, rows)
+		s.guards = slices.Grow(s.guards, rows)
+		s.golden = slices.Grow(s.golden, rows)
+	}
+	if cap(a.idx) < longest {
+		a.idx, a.val = make([]int, 0, longest), make([]float64, 0, longest)
+	}
 	g, epsilon := a.c.sess.G, a.c.opt.Epsilon
 	for gi, paths := range groups {
 		for j, p := range paths {
 			for _, cell := range p.Cells {
-				if _, ok := a.colOf[cell]; !ok {
-					a.colOf[cell] = len(a.cols)
-					a.cols = append(a.cols, cell)
+				if a.colOf[cell] == 0 {
+					a.ncols++
+					a.colOf[cell] = int32(a.ncols)
 				}
 			}
 			for k, kc := range a.c.corners {
 				s := &a.sys[k]
 				tm := tg[k][gi][j]
-				idx, val, target, guard := pathRow(kc.gba, g, epsilon, a.colOf, p, tm)
+				var target, guard float64
+				a.idx, a.val, target, guard = pathRow(kc.gba, g, epsilon, a.colOf, p, tm, a.idx, a.val)
 				if a.recal {
-					faultinject.Slice(faultinject.RecalibrateRow, val)
+					faultinject.Slice(faultinject.RecalibrateRow, a.val)
 				}
-				s.b.EnsureCols(len(a.cols))
-				if err := s.b.AddRow(idx, val); err != nil {
+				s.b.EnsureCols(a.ncols)
+				if err := s.b.AddRow(a.idx, a.val); err != nil {
 					return err
 				}
 				s.targets = append(s.targets, target)
@@ -77,6 +113,20 @@ func (a *assembler) add(groups [][]*pba.Path, tg [][][]*pba.Timing) error {
 		}
 	}
 	return nil
+}
+
+// populationSize returns the row count of groups, their total cell count
+// (the entry count of their rows before duplicate columns merge) and the
+// cell count of the longest path.
+func populationSize(groups [][]*pba.Path) (rows, cells, longest int) {
+	for _, g := range groups {
+		rows += len(g)
+		for _, p := range g {
+			cells += len(p.Cells)
+			longest = max(longest, len(p.Cells))
+		}
+	}
+	return rows, cells, longest
 }
 
 // problem finalizes assembled rows into the solver's Eq. (9) problem.
@@ -101,15 +151,16 @@ func (c *Calibrator) problem(b *sparse.Builder, targets, guards []float64) (*sol
 // conservative credit the cheap analysis already applied at this
 // endpoint, plus the golden-vs-cheap wire gap when the pair times the
 // path over different parasitics — and guard eps*|s_golden| (Eq. 5's
-// tolerance).
-func pathRow(gba *sta.Result, g *graph.Graph, epsilon float64, cols map[int]int, p *pba.Path, tm *pba.Timing) (idx []int, val []float64, target, guard float64) {
-	idx = make([]int, len(p.Cells))
-	val = make([]float64, len(p.Cells))
+// tolerance). The row is written into idx and val, reused from the
+// previous row.
+func pathRow(gba *sta.Result, g *graph.Graph, epsilon float64, colOf []int32, p *pba.Path, tm *pba.Timing, idx []int, val []float64) (rowIdx []int, rowVal []float64, target, guard float64) {
+	idx, val = idx[:0], val[:0]
 	var gbaSum, wireSum float64
-	for k, c := range p.Cells {
-		idx[k] = cols[c]
-		val[k] = gba.CellDelay[c]
-		gbaSum += val[k]
+	for _, c := range p.Cells {
+		d := gba.CellDelay[c]
+		idx = append(idx, int(colOf[c])-1)
+		val = append(val, d)
+		gbaSum += d
 		wireSum += gba.WireDelay[c]
 	}
 	crprExtra := tm.CRPR - gba.GBACRPR[g.FFIndex(p.Capture)]

@@ -556,14 +556,14 @@ func countPaths(groups [][]*pba.Path) int {
 // incremental call's dirty set (nil when cold); cache says whether the
 // calibration may leave its enumeration cached.
 func (c *Calibrator) fit(ctx context.Context, sp *obs.Span, m *Model, a *assembler, dirty []int, cache bool) error {
-	m.Columns = a.cols
+	m.Columns = a.columns()
 	m.GoldenSlack = a.sys[0].golden
 	fits := make([]*Model, len(c.corners))
 	for i, k := range c.corners {
 		fits[i] = m
 		if i > 0 {
 			fits[i] = c.newModel(k)
-			fits[i].Columns = a.cols
+			fits[i].Columns = m.Columns
 		}
 	}
 	if a.rows() == 0 {

@@ -29,20 +29,26 @@ func Norm2(v []float64) float64 {
 	// and slacks are small, but solver residuals can transiently be huge.
 	var scale, ssq float64 = 0, 1
 	for _, x := range v {
-		if x == 0 {
-			continue
-		}
-		ax := math.Abs(x)
-		if scale < ax {
-			r := scale / ax
-			ssq = 1 + ssq*r*r
-			scale = ax
-		} else {
-			r := ax / scale
-			ssq += r * r
-		}
+		scale, ssq = Norm2Step(scale, ssq, x)
 	}
 	return scale * math.Sqrt(ssq)
+}
+
+// Norm2Step folds x into Norm2's running scaled sum of squares: a sweep
+// that starts at (scale, ssq) = (0, 1) and folds every entry of v in order
+// ends at scale*math.Sqrt(ssq) == Norm2(v), bit for bit. A loop that
+// writes a vector anyway folds its norm into the same pass.
+func Norm2Step(scale, ssq, x float64) (float64, float64) {
+	if x == 0 {
+		return scale, ssq
+	}
+	ax := math.Abs(x)
+	if scale < ax {
+		r := scale / ax
+		return ax, 1 + ssq*r*r
+	}
+	r := ax / scale
+	return scale, ssq + r*r
 }
 
 // Norm2Sq returns the squared Euclidean norm of v.

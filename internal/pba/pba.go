@@ -314,9 +314,16 @@ func (a *Analyzer) kWorst(sc *enumScratch, captureIdx, k int, stopAtSlack *float
 		if stopAtSlack != nil && slack >= *stopAtSlack {
 			break // everything still enqueued is at least this good, up to rounding
 		}
-		cells := []int{s.inst}
+		// Count the chain first, so the path's cells are one allocation of
+		// exactly their length.
+		n := 1
 		for p := s.parent; p >= 0; p = sc.states[p].parent {
-			cells = append(cells, sc.states[p].inst)
+			n++
+		}
+		cells := make([]int, n)
+		cells[0] = s.inst
+		for i, p := 1, s.parent; p >= 0; i, p = i+1, sc.states[p].parent {
+			cells[i] = sc.states[p].inst
 		}
 		out = append(out, &Path{
 			Launch:     s.inst,

@@ -487,3 +487,24 @@ func TestKWorstSearchStaysLinear(t *testing.T) {
 		t.Fatalf("endpoint %d pushed %d states for k=20; want at most 5000", worstFI, worst)
 	}
 }
+
+// TestKWorstCellsExact: a path's cells are one allocation of exactly its
+// length, so a cached population carries no append slack.
+func TestKWorstCellsExact(t *testing.T) {
+	zero := 0.0
+	for _, cfg := range gen.Suite()[:3] {
+		a := generatedAnalyzer(t, cfg)
+		n := 0
+		for _, paths := range a.KWorstAll(a.EndpointIndices(), 200, &zero, 2) {
+			for _, p := range paths {
+				if cap(p.Cells) != len(p.Cells) {
+					t.Fatalf("%s: path %d->%d has %d cells in a %d-cell slice", cfg.Name, p.Launch, p.Capture, len(p.Cells), cap(p.Cells))
+				}
+				n++
+			}
+		}
+		if n == 0 {
+			t.Fatalf("%s: no paths enumerated", cfg.Name)
+		}
+	}
+}

@@ -697,6 +697,45 @@ func GD(ctx context.Context, p *Problem, opt Options) ([]float64, Stats, error) 
 // normalizes it, combines it with the previous direction through the
 // Polak-Ribière parameter, and moves by the dynamic step alpha = s/||d||.
 func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, Stats, error) {
+	return scg(ctx, p, opt, r, new(scgWork))
+}
+
+// scgWork is the working set of SCG solves. SCGRS hands one set to every
+// round of Algorithm 1, so the rounds share one set of solver vectors and
+// one evaluation scratch: every round's sample spans the same columns, so
+// what was sized for one round fits the next.
+type scgWork struct {
+	x, best, g, gPrev, d []float64 // per column
+	rows                 []int     // per minibatch sample
+	coeffs               []float64
+	active               []bool
+	scratch              *Scratch  // SCGRS's sampled systems' evaluation scratch
+	xPrev, diff          []float64 // SCGRS's outer convergence test
+}
+
+// resize returns buf with length n, reusing its storage when it is large
+// enough. The contents are stale.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// scg is SCG on the working set w; the returned x is w's. Every step sweeps
+// the column vectors in three fused passes:
+//   - normalize g, summing ||g||^2 (the next step's Polak-Ribière
+//     denominator) and <g, g - gPrev> (this step's numerator);
+//   - form d, folding its norm;
+//   - step x, folding the norm the next step's trust region reads.
+//
+// Each pass computes every output with exactly the floating-point
+// operations, in the same order, of a separate scale, dot, direction, axpy
+// or num.Norm2 pass, so the fit is bit-identical to one made that way. g
+// and gPrev swap roles instead of copying. Every branch that moves x back
+// to the best iterate resets the carried norms with it: ||gPrev||^2 to 0,
+// as a zeroed gPrev would read, and ||x|| to the best iterate's.
+func scg(ctx context.Context, p *Problem, opt Options, r *rng.Rand, w *scgWork) ([]float64, Stats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
@@ -706,12 +745,15 @@ func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, 
 	start := time.Now()
 	m, n := p.A.Rows(), p.A.Cols()
 	st := Stats{RowsUsed: m}
-	x := make([]float64, n)
+	if opt.X0 != nil && len(opt.X0) != n {
+		return nil, st, fmt.Errorf("solver: X0 has %d entries, want %d", len(opt.X0), n)
+	}
+	w.x = resize(w.x, n)
+	x := w.x
 	if opt.X0 != nil {
-		if len(opt.X0) != n {
-			return nil, st, fmt.Errorf("solver: X0 has %d entries, want %d", len(opt.X0), n)
-		}
 		copy(x, opt.X0)
+	} else {
+		num.Fill(x, 0)
 	}
 	if m == 0 {
 		st.Reason = StopZeroGrad
@@ -724,8 +766,8 @@ func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, 
 	// sampler rejects by panicking. Excluding such rows from sampling keeps
 	// the solve alive; the full-objective divergence check still sees them,
 	// so a poisoned system ends in a diverged (never optimistic) result.
-	for i, w := range weightsVec {
-		if math.IsNaN(w) || math.IsInf(w, 0) {
+	for i, wt := range weightsVec {
+		if math.IsNaN(wt) || math.IsInf(wt, 0) {
 			weightsVec[i] = 0
 			st.NumericalEvents++
 		}
@@ -753,13 +795,11 @@ func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, 
 		k = m
 	}
 
-	g := make([]float64, n)
-	gPrev := make([]float64, n)
-	d := make([]float64, n)
-	diff := make([]float64, n)
-	rows := make([]int, k)
-	coeffs := make([]float64, k)
-	active := make([]bool, k)
+	w.g, w.gPrev, w.d = resize(w.g, n), resize(w.gPrev, n), resize(w.d, n)
+	g, gPrev, d := w.g, w.gPrev, w.d
+	num.Fill(d, 0)
+	w.rows, w.coeffs, w.active = resize(w.rows, k), resize(w.coeffs, k), resize(w.active, k)
+	rows, coeffs, active := w.rows, w.coeffs, w.active
 
 	// Reusable minibatch kernels: sampling stays serial (preserving the
 	// RNG stream and the reference gradient exactly), the per-sample dot
@@ -784,7 +824,9 @@ func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, 
 	// A solve that keeps tripping the non-finite detector is hopeless;
 	// give up deterministically instead of burning the iteration budget.
 	const maxNumericalEvents = 50
-	best := num.Copy(x)
+	w.best = resize(w.best, n)
+	best := w.best
+	copy(best, x)
 	bestF := p.Objective(x)
 	st.RowWork += m
 	if math.IsNaN(bestF) || math.IsInf(bestF, 0) {
@@ -808,6 +850,11 @@ func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, 
 	// too noisy for the paper's line-2 test to fire reliably.
 	ema := math.Inf(1)
 	st.Reason = StopMaxIters
+	// The carried norms: ||x|| and the best iterate's, and ||gPrev||^2 (0
+	// until a step completes).
+	xn := num.Norm2(x)
+	bestN := xn
+	var gPrevSq float64
 
 	for st.Iters = 1; st.Iters <= opt.MaxIters; st.Iters++ {
 		obsIterSCG.Inc()
@@ -841,33 +888,42 @@ func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, 
 			st.NumericalEvents++
 			copy(x, best)
 			num.Fill(d, 0)
-			num.Fill(gPrev, 0)
+			gPrevSq, xn = 0, bestN
 			continue
 		}
 		if gn == 0 {
 			st.Reason = StopZeroGrad
 			break // sampled rows are all satisfied exactly
 		}
-		// Line 6: normalize.
-		num.Scale(1/gn, g)
+		// Line 6: normalize, summing ||g||^2 and <g, g - gPrev> on the way.
+		inv := 1 / gn
+		var gSq, gDot float64
+		for j := range g {
+			gj := g[j] * inv
+			g[j] = gj
+			gSq += gj * gj
+			gDot += gj * (gj - gPrev[j])
+		}
 		// Line 7: Polak-Ribière parameter (g_{k-1} is already normalized,
 		// so its squared norm is 1 after the first iteration).
 		var beta float64
-		// Skip the PR parameter right after a momentum reset (gPrev == 0):
-		// dividing by ||g_{k-1}||^2 = 0 would produce an Inf beta that
-		// poisons the conjugate direction with NaNs.
-		if g2 := num.Norm2Sq(gPrev); st.Iters > 1 && g2 > 0 {
-			num.Sub(diff, g, gPrev)
-			beta = num.Dot(g, diff) / g2
+		// Skip the PR parameter right after a momentum reset (||g_{k-1}||
+		// = 0): dividing by it would produce an Inf beta that poisons the
+		// conjugate direction with NaNs.
+		if st.Iters > 1 && gPrevSq > 0 {
+			beta = gDot / gPrevSq
 			if beta < 0 || math.IsNaN(beta) || math.IsInf(beta, 0) {
 				beta = 0 // PR+ restart, standard practice
 			}
 		}
-		// Line 8: conjugate direction.
+		// Line 8: conjugate direction, folding ||d||.
+		var dScale, dSsq float64 = 0, 1
 		for j := range d {
-			d[j] = -g[j] + beta*d[j]
+			dj := -g[j] + beta*d[j]
+			d[j] = dj
+			dScale, dSsq = num.Norm2Step(dScale, dSsq, dj)
 		}
-		dn := num.Norm2(d)
+		dn := dScale * math.Sqrt(dSsq)
 		if dn == 0 {
 			st.Reason = StopZeroGrad
 			break
@@ -899,7 +955,6 @@ func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, 
 			}
 			alpha = s / dn
 		}
-		xn := num.Norm2(x)
 		if maxDisp := 0.5 * (1 + xn); math.Abs(alpha)*dn > maxDisp {
 			alpha = math.Copysign(maxDisp/dn, alpha)
 		}
@@ -909,12 +964,18 @@ func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, 
 			st.NumericalEvents++
 			copy(x, best)
 			num.Fill(d, 0)
-			num.Fill(gPrev, 0)
+			gPrevSq, xn = 0, bestN
 			continue
 		}
-		// Line 10: update.
-		num.Axpy(alpha, d, x)
-		copy(gPrev, g)
+		// Line 10: update, folding the next step's ||x||.
+		var xScale, xSsq float64 = 0, 1
+		for j := range x {
+			xj := x[j] + alpha*d[j]
+			x[j] = xj
+			xScale, xSsq = num.Norm2Step(xScale, xSsq, xj)
+		}
+		xnNext := xScale * math.Sqrt(xSsq)
+		g, gPrev, gPrevSq = gPrev, g, gSq
 		if st.Iters%checkEvery == 0 {
 			f := p.Objective(x)
 			st.RowWork += m
@@ -923,6 +984,7 @@ func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, 
 			case f < bestF*(1-1e-6):
 				bestF = f
 				copy(best, x)
+				bestN = xnNext
 				lastImprove = st.Iters
 			case f > 5*bestF+1e-12 || math.IsNaN(f) || math.IsInf(f, 1):
 				if math.IsNaN(f) || math.IsInf(f, 1) {
@@ -931,7 +993,7 @@ func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, 
 				st.Reverts++
 				copy(x, best)
 				num.Fill(d, 0)
-				num.Fill(gPrev, 0)
+				gPrevSq, xnNext = 0, bestN
 			}
 			// Stagnation stop: the stochastic iteration has reached its
 			// noise floor when the full objective stops improving.
@@ -949,6 +1011,7 @@ func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, 
 		if xn > 0 {
 			rel /= xn
 		}
+		xn = xnNext
 		if math.IsInf(ema, 1) {
 			ema = rel
 		} else {
@@ -976,7 +1039,7 @@ func SCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, 
 // SCGRS is Algorithm 1 stacked on Algorithm 2 (SCG + RS in Table 4):
 // uniformly sample a tiny fraction of the rows, solve the reduced problem
 // with SCG, and double the sampling ratio until the solution stabilizes
-// within eps_u.
+// within eps_u. The rounds share one SCG working set.
 func SCGRS(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, Stats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, Stats{}, err
@@ -985,13 +1048,14 @@ func SCGRS(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64
 		return nil, Stats{}, err
 	}
 	start := time.Now()
-	m := p.A.Rows()
+	m, n := p.A.Rows(), p.A.Cols()
 	st := Stats{}
-	x := make([]float64, p.A.Cols())
+	if opt.X0 != nil && len(opt.X0) != n {
+		return nil, st, fmt.Errorf("solver: X0 has %d entries, want %d", len(opt.X0), n)
+	}
+	w := &scgWork{x: make([]float64, n), scratch: new(Scratch)}
+	x := w.x
 	if opt.X0 != nil {
-		if len(opt.X0) != len(x) {
-			return nil, st, fmt.Errorf("solver: X0 has %d entries, want %d", len(opt.X0), len(x))
-		}
 		copy(x, opt.X0)
 	}
 	if m == 0 {
@@ -1011,7 +1075,7 @@ func SCGRS(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64
 	if rows > m {
 		rows = m
 	}
-	var xPrev []float64
+	havePrev := false
 	inner := opt
 	st.Reason = StopMaxIters
 	for st.Outer = 1; st.Outer <= opt.MaxOuter; st.Outer++ {
@@ -1022,6 +1086,7 @@ func SCGRS(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64
 		}
 		sel := r.SampleWithoutReplacement(m, rows)
 		sub := p.SubProblem(sel)
+		sub.scratch = w.scratch
 		st.RowWork += rows
 		var innerStats Stats
 		var err error
@@ -1029,7 +1094,7 @@ func SCGRS(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64
 		// sampled systems approximate the same problem, so the previous
 		// optimum is an excellent initial point.
 		inner.X0 = x
-		x, innerStats, err = SCG(ctx, sub, inner, r)
+		x, innerStats, err = scg(ctx, sub, inner, r, w)
 		if err != nil {
 			return nil, st, err
 		}
@@ -1043,7 +1108,7 @@ func SCGRS(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64
 			st.Reason = innerStats.Reason
 			break
 		}
-		if xPrev != nil && num.RelDiff(x, xPrev) <= opt.TolU {
+		if havePrev && num.RelDiffInto(w.diff, x, w.xPrev) <= opt.TolU {
 			st.Reason = StopConverged
 			break
 		}
@@ -1053,7 +1118,9 @@ func SCGRS(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64
 			st.Reason = innerStats.Reason
 			break
 		}
-		xPrev = num.Copy(x)
+		w.xPrev = append(w.xPrev[:0], x...)
+		w.diff = resize(w.diff, n)
+		havePrev = true
 		rows *= 2
 		if rows > m {
 			rows = m

@@ -10,6 +10,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"mgba/internal/par"
@@ -23,17 +24,6 @@ type Matrix struct {
 	val        []float64 // len nnz
 	par        int       // worker count for the bulk kernels (<=1: serial)
 }
-
-// rowScratch is the pooled working set of normalizeRowInto: one row's
-// index/value pairs, sorted and deduplicated in place so builder-heavy
-// paths (calibration assembly, SelectRows-driven subsampling) add rows
-// without a per-row allocation.
-type rowScratch struct {
-	idx []int
-	val []float64
-}
-
-var rowPool = sync.Pool{New: func() any { return new(rowScratch) }}
 
 // shellGaps is the Ciura gap sequence; rows are path cells, so their
 // length is bounded by path depth and shellsort is comfortably fast.
@@ -59,11 +49,9 @@ func sortPairs(idx []int, val []float64) {
 	}
 }
 
-// normalizeRowInto validates one row's parallel index/value slices
-// against the column count and leaves the row in canonical CSR form in sc:
-// column-sorted with duplicate columns summed (a gate appearing twice on
-// a reconvergent path contributes twice).
-func normalizeRowInto(sc *rowScratch, cols int, indices []int, values []float64) error {
+// checkRow validates one row's parallel index/value slices against the
+// column count.
+func checkRow(cols int, indices []int, values []float64) error {
 	if len(indices) != len(values) {
 		return fmt.Errorf("sparse: %d indices for %d values", len(indices), len(values))
 	}
@@ -72,20 +60,25 @@ func normalizeRowInto(sc *rowScratch, cols int, indices []int, values []float64)
 			return fmt.Errorf("sparse: column %d out of range [0,%d)", j, cols)
 		}
 	}
-	sc.idx = append(sc.idx[:0], indices...)
-	sc.val = append(sc.val[:0], values...)
-	sortPairs(sc.idx, sc.val)
+	return nil
+}
+
+// canonicalize leaves one row's parallel index/value slices in canonical
+// CSR form in place — column-sorted with duplicate columns summed (a gate
+// appearing twice on a reconvergent path contributes twice) — and returns
+// the row's canonical length.
+func canonicalize(idx []int, val []float64) int {
+	sortPairs(idx, val)
 	w := 0
-	for k := 0; k < len(sc.idx); k++ {
-		if w > 0 && sc.idx[k] == sc.idx[w-1] {
-			sc.val[w-1] += sc.val[k]
+	for k := 0; k < len(idx); k++ {
+		if w > 0 && idx[k] == idx[w-1] {
+			val[w-1] += val[k]
 			continue
 		}
-		sc.idx[w], sc.val[w] = sc.idx[k], sc.val[k]
+		idx[w], val[w] = idx[k], val[k]
 		w++
 	}
-	sc.idx, sc.val = sc.idx[:w], sc.val[:w]
-	return nil
+	return w
 }
 
 // Builder accumulates rows for a Matrix. Rows are appended in order; the
@@ -116,18 +109,31 @@ func (b *Builder) EnsureCols(cols int) {
 	}
 }
 
+// Grow reserves room for rows more rows holding nnz more entries (an
+// upper bound: duplicate columns merge), so a caller that knows its
+// system's size up front fills the builder without regrowing it.
+// Repeated calls grow the storage amortized, like append.
+func (b *Builder) Grow(rows, nnz int) {
+	b.rowPtr = slices.Grow(b.rowPtr, rows)
+	b.colIdx = slices.Grow(b.colIdx, nnz)
+	b.val = slices.Grow(b.val, nnz)
+}
+
 // AddRow appends one row given parallel index/value slices. Indices may be
 // unordered and may repeat; repeated indices are summed (a gate appearing
 // twice on a reconvergent path contributes twice). It returns an error for
-// out-of-range indices or mismatched slice lengths.
+// out-of-range indices or mismatched slice lengths. The row is sorted and
+// merged in place at the tail of the builder's own storage, so adding a
+// row allocates nothing once the storage has room.
 func (b *Builder) AddRow(indices []int, values []float64) error {
-	sc := rowPool.Get().(*rowScratch)
-	defer rowPool.Put(sc)
-	if err := normalizeRowInto(sc, b.cols, indices, values); err != nil {
+	if err := checkRow(b.cols, indices, values); err != nil {
 		return err
 	}
-	b.colIdx = append(b.colIdx, sc.idx...)
-	b.val = append(b.val, sc.val...)
+	lo := len(b.colIdx)
+	b.colIdx = append(b.colIdx, indices...)
+	b.val = append(b.val, values...)
+	n := canonicalize(b.colIdx[lo:], b.val[lo:])
+	b.colIdx, b.val = b.colIdx[:lo+n], b.val[:lo+n]
 	b.rowPtr = append(b.rowPtr, len(b.colIdx))
 	return nil
 }
