@@ -457,9 +457,35 @@ func benchBigProblem(b *testing.B) *solver.Problem {
 	return base.SubProblem(sel)
 }
 
+// d3WarmProblem returns D3's own calibration system and its cold fit: a
+// warm solve from that fit has the shape of the incremental solves the
+// closure flow runs on D3 (a few hundred rows of about 14 entries over
+// about a hundred columns).
+func d3WarmProblem(b *testing.B) (*solver.Problem, []float64) {
+	b.Helper()
+	d, err := gen.Generate(gen.Suite()[2])
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := graph.Build(d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := core.Calibrate(context.Background(), g, sta.DefaultConfig(), core.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if m.Problem == nil {
+		b.Fatal("no violated paths on D3")
+	}
+	return m.Problem, m.Correction
+}
+
 // PR4: the Eq. (6) solve on a calibration-scale system at serial versus
 // 8-worker kernels. Results are bit-identical across the legs; the delta
-// is pure wall-clock.
+// is pure wall-clock. d3-warm is one warm solve on D3's own system,
+// seeded from its cold fit with calibration's default options and seed;
+// iters/op is its SCG step count, the same on every run.
 func BenchmarkSolverSCGRS(b *testing.B) {
 	p := benchBigProblem(b)
 	for _, workers := range []int{1, 8} {
@@ -474,6 +500,21 @@ func BenchmarkSolverSCGRS(b *testing.B) {
 			}
 		})
 	}
+	b.Run("d3-warm", func(b *testing.B) {
+		p, x0 := d3WarmProblem(b)
+		opt := core.DefaultOptions()
+		opt.Solver.X0 = x0
+		var st solver.Stats
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if _, st, err = solver.SCGRS(context.Background(), p, opt.Solver, rng.New(opt.Seed)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(st.Iters), "iters/op")
+	})
 }
 
 // PR4: the fused one-pass Objective+Gradient kernel — the steady-state

@@ -153,18 +153,26 @@ func (r *Rand) SampleWithoutReplacement(n, k int) []int {
 // cumulative distribution for the first value exceeding u·Total().
 //
 // A cutpoint (guide) table narrows that search to expected O(1) for every
-// draw. The range [0, Total()) is cut into n buckets and a cumulative
-// value c falls in bucket int(c·n/Total()); guide[b] is the first index
-// whose value falls in bucket b or later. Bucketing is monotone in c, so
-// the index the search wants lies between guide[b] and guide[b+1] for
-// the draw's bucket b, and searching only there returns exactly the
-// index a binary search over the whole distribution returns.
+// draw. The range [0, Total()) is cut into bucketsPerWeight·n buckets and
+// a cumulative value c falls in bucket int(c·bucketsPerWeight·n/Total());
+// guide[b] is the first index whose value falls in bucket b or later.
+// Bucketing is monotone in c, so the index the search wants lies between
+// guide[b] and guide[b+1] for the draw's bucket b, and searching only
+// there returns exactly the index a binary search over the whole
+// distribution returns.
 type WeightedSampler struct {
 	cum   []float64
 	total float64
-	scale float64 // n / total, the bucket scale
-	guide []int32 // len n+2; nil when the total or the scale is not finite
+	scale float64 // bucketsPerWeight·n / total, the bucket scale
+	guide []int32 // len bucketsPerWeight·n+2; nil when the total or the scale is not finite
 }
+
+// bucketsPerWeight is the guide table's bucket count per weight. Row-norm
+// weights are skewed (a few heavy rows over many light ones), so a heavy
+// row spans several buckets and a light one shares its bucket with fewer
+// neighbours: four buckets per weight leave a draw's search a handful of
+// entries for 16 bytes of table per weight.
+const bucketsPerWeight = 4
 
 // NewWeightedSampler builds a sampler over weights. Negative weights panic;
 // an all-zero or empty weight vector yields a sampler whose Sample panics,
@@ -181,10 +189,11 @@ func NewWeightedSampler(weights []float64) *WeightedSampler {
 		ws.cum[i] = c
 	}
 	ws.total = c
-	scale := float64(n) / c
+	buckets := bucketsPerWeight * n
+	scale := float64(buckets) / c
 	if c > 0 && !math.IsInf(c, 0) && !math.IsInf(scale, 0) && n < math.MaxInt32 {
 		ws.scale = scale
-		ws.guide = make([]int32, n+2)
+		ws.guide = make([]int32, buckets+2)
 		i := 0
 		for b := range ws.guide {
 			for i < n && ws.bucket(ws.cum[i]) < b {
@@ -196,9 +205,10 @@ func NewWeightedSampler(weights []float64) *WeightedSampler {
 	return ws
 }
 
-// bucket maps a value in [0, total] to its bucket, n at most.
+// bucket maps a value in [0, total] to its bucket, bucketsPerWeight·n at
+// most.
 func (ws *WeightedSampler) bucket(c float64) int {
-	return min(int(c*ws.scale), len(ws.cum))
+	return min(int(c*ws.scale), len(ws.guide)-2)
 }
 
 // Total returns the sum of all weights.

@@ -274,13 +274,35 @@ func binarySearch(cum []float64, u float64) int {
 	return lo
 }
 
+// rowNormWeights returns n weights shaped like the squared row norms
+// SCG samples by: many light rows, a few heavy ones (a long path through
+// strongly derated cells), and zero rows mixed in.
+func rowNormWeights(r *Rand, n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		k := r.Intn(20)
+		if k == 0 {
+			continue // a zero row
+		}
+		for c := 1 + r.Intn(14); c > 0; c-- {
+			v := 0.1 + r.Float64()
+			w[i] += v * v
+		}
+		if k == 1 {
+			w[i] *= 20 + 200*r.Float64()
+		}
+	}
+	return w
+}
+
 // TestWeightedSamplerMatchesBinarySearch: with its cutpoint table the
 // sampler returns the index of a binary search over the whole cumulative
 // distribution for every draw. Weight vectors mix zero, subnormal, tiny,
 // ordinary, tied and huge weights (huge sums overflow to +Inf, subnormal
-// totals give an infinite bucket scale; both keep the plain search), n = 1
-// included; draws come from Sample's own stream and are also placed on
-// and beside every bucket edge and every cumulative value.
+// totals give an infinite bucket scale; both keep the plain search), or
+// are shaped like row norms; n = 1 included. Draws come from Sample's own
+// stream and are also placed on and beside every edge of the guide table
+// and every cumulative value.
 func TestWeightedSamplerMatchesBinarySearch(t *testing.T) {
 	r := New(99)
 	kinds := []func() float64{
@@ -301,7 +323,7 @@ func TestWeightedSamplerMatchesBinarySearch(t *testing.T) {
 			t.Fatalf("n=%d total=%v: draw %v gives index %d, binary search %d", len(ws.cum), ws.total, u, got, want)
 		}
 	}
-	var guided, plain int
+	var guided, plain, shaped int
 	for trial := 0; trial < 3000; trial++ {
 		n := 1 + r.Intn(40)
 		switch trial % 20 {
@@ -309,18 +331,26 @@ func TestWeightedSamplerMatchesBinarySearch(t *testing.T) {
 			n = 1
 		case 1:
 			n = 1 + r.Intn(3000)
+		case 2:
+			n = 100 + r.Intn(400)
 		}
-		var use []func() float64
-		for len(use) == 0 {
-			for _, k := range kinds {
-				if r.Intn(3) == 0 {
-					use = append(use, k)
+		var w []float64
+		if trial%4 == 2 {
+			w = rowNormWeights(r, n)
+			shaped++
+		} else {
+			var use []func() float64
+			for len(use) == 0 {
+				for _, k := range kinds {
+					if r.Intn(3) == 0 {
+						use = append(use, k)
+					}
 				}
 			}
-		}
-		w := make([]float64, n)
-		for i := range w {
-			w[i] = use[r.Intn(len(use))]()
+			w = make([]float64, n)
+			for i := range w {
+				w[i] = use[r.Intn(len(use))]()
+			}
 		}
 		ws := NewWeightedSampler(w)
 		if ws.Total() <= 0 {
@@ -339,7 +369,7 @@ func TestWeightedSamplerMatchesBinarySearch(t *testing.T) {
 			}
 		}
 		if ws.guide != nil {
-			for bk := 0; bk <= n; bk++ {
+			for bk := 0; bk < len(ws.guide); bk++ {
 				e := float64(bk) / ws.scale
 				check(ws, e)
 				check(ws, math.Nextafter(e, 0))
@@ -353,8 +383,8 @@ func TestWeightedSamplerMatchesBinarySearch(t *testing.T) {
 			check(ws, math.Nextafter(c, math.Inf(1)))
 		}
 	}
-	if guided == 0 || plain == 0 {
-		t.Fatalf("%d vectors searched through the cutpoint table, %d without; want both", guided, plain)
+	if guided == 0 || plain == 0 || shaped == 0 {
+		t.Fatalf("%d vectors searched through the cutpoint table, %d without, %d row-norm-shaped; want all three", guided, plain, shaped)
 	}
 }
 
@@ -365,15 +395,32 @@ func BenchmarkUint64(b *testing.B) {
 	}
 }
 
+// BenchmarkWeightedSample times one Eq. (11) draw: over 100,000 uniform
+// weights, and over 350 row-norm-shaped ones, the size of D3's
+// calibration system.
 func BenchmarkWeightedSample(b *testing.B) {
-	w := make([]float64, 100000)
 	r := New(1)
-	for i := range w {
-		w[i] = r.Float64()
+	uniform := make([]float64, 100000)
+	for i := range uniform {
+		uniform[i] = r.Float64()
 	}
-	ws := NewWeightedSampler(w)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ws.Sample(r)
+	for _, c := range []struct {
+		name string
+		w    []float64
+	}{
+		{"uniform-100000", uniform},
+		{"rownorm-350", rowNormWeights(r, 350)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ws := NewWeightedSampler(c.w)
+			r := New(1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sampleSink += ws.Sample(r)
+			}
+		})
 	}
 }
+
+// sampleSink keeps the benchmarked draws live.
+var sampleSink int

@@ -9,18 +9,146 @@ import (
 
 	"mgba/internal/faultinject"
 	"mgba/internal/num"
-	"mgba/internal/par"
 	"mgba/internal/rng"
 	"mgba/internal/sparse"
 )
 
-// refSCG is SCG as it stood before its vector sweeps were fused, kept
-// verbatim as the reference the fused solver must match bit for bit.
-// Algorithm 2: stochastic conjugate gradient. Each step samples
-// k” rows with probability proportional to their squared Euclidean norm
-// (Eq. 11), evaluates the penalized gradient on those rows only,
-// normalizes it, combines it with the previous direction through the
-// Polak-Ribière parameter, and moves by the dynamic step alpha = s/||d||.
+// The reference below is SCG and SCGRS as they stood before their vector
+// sweeps were fused and their minibatch became one pass, on kernels of
+// its own: every row loop ranges over Row(i) in index order, the Eq. (11)
+// draw searches its own prefix sum, and Algorithm 1's sample copies its
+// rows into a fresh system. It shares no row kernel, sampler, evaluation
+// kernel or sub-problem builder with the solvers it checks, so a change
+// to any of those must reproduce these loops bit for bit.
+
+// refRowDot returns <a_i, x>, summed in column order.
+func refRowDot(a *sparse.Matrix, i int, x []float64) float64 {
+	cols, vals := a.Row(i)
+	var s float64
+	for k := range cols {
+		s += vals[k] * x[cols[k]]
+	}
+	return s
+}
+
+// refAddScaledRow performs dst += alpha * a_i in column order.
+func refAddScaledRow(a *sparse.Matrix, dst []float64, i int, alpha float64) {
+	cols, vals := a.Row(i)
+	for k := range cols {
+		dst[cols[k]] += alpha * vals[k]
+	}
+}
+
+// refRowNormsSq returns ||a_i||^2 for every row, each summed in column
+// order.
+func refRowNormsSq(a *sparse.Matrix) []float64 {
+	out := make([]float64, a.Rows())
+	for i := range out {
+		_, vals := a.Row(i)
+		for _, v := range vals {
+			out[i] += v * v
+		}
+	}
+	return out
+}
+
+// refTerm returns row i's residual and penalty shortfall at ax = <a_i, x>.
+func refTerm(p *Problem, i int, ax float64) (resid, short float64) {
+	resid = ax - p.B[i]
+	if p.Penalty > 0 {
+		floor := p.B[i]
+		if p.Guard != nil {
+			floor -= p.Guard[i]
+		}
+		if ax < floor {
+			short = floor - ax
+		}
+	}
+	return resid, short
+}
+
+// refObjective evaluates Eq. (6) at x: row terms summed per row block,
+// block sums added in block order. The blocks are the evaluation
+// kernels' fixed shape-only decomposition: one block below evalCutoffNNZ
+// stored entries or evalBlocks rows, else evalBlocks blocks of equal
+// grain.
+func refObjective(p *Problem, x []float64) float64 {
+	m := p.A.Rows()
+	grain := m
+	if p.A.NNZ() >= evalCutoffNNZ && m >= evalBlocks {
+		grain = (m + evalBlocks - 1) / evalBlocks
+	}
+	var f float64
+	for lo := 0; lo < m; lo += grain {
+		var part float64
+		for i := lo; i < min(lo+grain, m); i++ {
+			r, s := refTerm(p, i, refRowDot(p.A, i, x))
+			part += r*r + p.Penalty*s*s
+		}
+		f += part
+	}
+	return f
+}
+
+// refSampler draws Eq. (11)'s rows by a full binary search of the weights'
+// prefix sum for the first value exceeding u*total.
+type refSampler struct {
+	cum   []float64
+	total float64
+}
+
+func newRefSampler(weights []float64) refSampler {
+	s := refSampler{cum: make([]float64, len(weights))}
+	for i, w := range weights {
+		s.total += w
+		s.cum[i] = s.total
+	}
+	return s
+}
+
+func (s refSampler) sample(r *rng.Rand) int {
+	u := r.Float64() * s.total
+	lo, hi := 0, len(s.cum)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if s.cum[mid] <= u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// refSubProblem copies the sampled rows, targets and guards into a fresh
+// system row by row, keeping the parent's kernel worker count.
+func refSubProblem(p *Problem, rows []int) *Problem {
+	b := sparse.NewBuilder(p.A.Cols())
+	sub := &Problem{B: make([]float64, len(rows)), Penalty: p.Penalty}
+	if p.Guard != nil {
+		sub.Guard = make([]float64, len(rows))
+	}
+	for k, i := range rows {
+		cols, vals := p.A.Row(i)
+		if err := b.AddRow(append([]int(nil), cols...), append([]float64(nil), vals...)); err != nil {
+			panic(err)
+		}
+		sub.B[k] = p.B[i]
+		if sub.Guard != nil {
+			sub.Guard[k] = p.Guard[i]
+		}
+	}
+	sub.A = b.Build()
+	sub.A.SetParallelism(p.A.Parallelism())
+	return sub
+}
+
+// refSCG is the reference Algorithm 2: stochastic conjugate gradient. Each
+// step samples k” rows with probability proportional to their squared
+// Euclidean norm (Eq. 11), evaluates the penalized gradient on those rows
+// only, normalizes it, combines it with the previous direction through
+// the Polak-Ribière parameter, and moves by the dynamic step alpha =
+// s/||d||.
 func refSCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, Stats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, Stats{}, err
@@ -43,12 +171,12 @@ func refSCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float6
 		st.Converged = true
 		return x, st, nil
 	}
-	weightsVec := p.A.RowNormsSq()
+	weightsVec := refRowNormsSq(p.A)
 	st.RowWork += m
-	// A corrupted matrix row yields a non-finite norm, which the weighted
-	// sampler rejects by panicking. Excluding such rows from sampling keeps
-	// the solve alive; the full-objective divergence check still sees them,
-	// so a poisoned system ends in a diverged (never optimistic) result.
+	// A corrupted matrix row yields a non-finite norm. Excluding such rows
+	// from sampling keeps the solve alive; the full-objective divergence
+	// check still sees them, so a poisoned system ends in a diverged
+	// (never optimistic) result.
 	for i, w := range weightsVec {
 		if math.IsNaN(w) || math.IsInf(w, 0) {
 			weightsVec[i] = 0
@@ -62,8 +190,8 @@ func refSCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float6
 			}
 		}
 	}
-	sampler := rng.NewWeightedSampler(weightsVec)
-	if sampler.Total() == 0 {
+	sampler := newRefSampler(weightsVec)
+	if sampler.total == 0 {
 		// Degenerate all-zero matrix: nothing to fit.
 		st.Reason = StopZeroGrad
 		st.Converged = true
@@ -73,6 +201,9 @@ func refSCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float6
 	k := int(opt.KFrac * float64(m))
 	if k < opt.KMin {
 		k = opt.KMin
+	}
+	if k < 1 {
+		k = 1
 	}
 	if k > m {
 		k = m
@@ -86,20 +217,6 @@ func refSCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float6
 	coeffs := make([]float64, k)
 	active := make([]bool, k)
 
-	// Reusable minibatch kernels: sampling stays serial (preserving the
-	// RNG stream and the reference gradient exactly), the per-sample dot
-	// products and the step reduction run blocked. x and d are updated in
-	// place throughout the loop, so the bodies are wired up once here.
-	sc := p.EnsureScratch()
-	kWorkers := p.A.Parallelism()
-	kBlocks := par.Blocks(k, miniGrain)
-	alphaN, alphaD := sc.ensureAlpha(kBlocks)
-	mb := &sc.mini
-	mb.p, mb.x, mb.rows, mb.coeffs, mb.active = p, x, rows, coeffs, active
-	ab := &sc.alpha
-	ab.p, ab.d, ab.rows, ab.coeffs, ab.active = p, d, rows, coeffs, active
-	ab.numer, ab.denom = alphaN, alphaD
-
 	// Divergence safeguard: stochastic exact steps on tiny minibatches can
 	// occasionally compound into a blow-up, so the full objective is
 	// checked periodically; the method reverts to the best iterate (with a
@@ -110,7 +227,7 @@ func refSCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float6
 	// give up deterministically instead of burning the iteration budget.
 	const maxNumericalEvents = 50
 	best := num.Copy(x)
-	bestF := p.Objective(x)
+	bestF := refObjective(p, x)
 	st.RowWork += m
 	if math.IsNaN(bestF) || math.IsInf(bestF, 0) {
 		// A non-finite warm start is unusable; restart from zero, the
@@ -118,7 +235,7 @@ func refSCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float6
 		st.NumericalEvents++
 		num.Fill(x, 0)
 		copy(best, x)
-		bestF = p.Objective(x)
+		bestF = refObjective(p, x)
 		st.RowWork += m
 		if math.IsNaN(bestF) || math.IsInf(bestF, 0) {
 			st.Reason = StopDiverged
@@ -144,18 +261,20 @@ func refSCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float6
 			st.Reason = StopDiverged
 			break
 		}
-		// Lines 3-5: sample k'' rows by Eq. (11), gradient on them only.
-		// The draw is serial (one RNG stream), the row terms are computed
-		// by the blocked slot-writing kernel, and the scatter back into g
-		// is serial in sample order — together bit-identical to the
-		// reference single-loop implementation at every worker count.
+		// Lines 3-5: sample k'' rows by Eq. (11), then every sampled row's
+		// term at x, then the gradient on those rows only, scattered in
+		// sample order.
 		for t := 0; t < k; t++ {
-			rows[t] = sampler.Sample(r)
+			rows[t] = sampler.sample(r)
 		}
-		par.ForBody(kWorkers, k, miniGrain, mb)
+		for t := 0; t < k; t++ {
+			resid, short := refTerm(p, rows[t], refRowDot(p.A, rows[t], x))
+			coeffs[t] = resid - p.Penalty*short
+			active[t] = short > 0
+		}
 		num.Fill(g, 0)
 		for t := 0; t < k; t++ {
-			p.A.AddScaledRow(g, rows[t], 2*coeffs[t])
+			refAddScaledRow(p.A, g, rows[t], 2*coeffs[t])
 		}
 		st.RowWork += 2 * k
 		faultinject.Slice(faultinject.SolverGradient, g)
@@ -198,17 +317,27 @@ func refSCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float6
 			break
 		}
 		// Line 9: dynamic step size. The step alpha* that exactly
-		// minimizes the sampled quadratic along d (a Kaczmarz-style
-		// projection of the minibatch) converges far faster than a fixed
-		// displacement; the paper's s/||d|| rule serves as fallback when
-		// the minibatch curvature vanishes, and a trust region bounds the
-		// displacement against minibatch noise.
-		par.ForBody(kWorkers, k, miniGrain, ab)
+		// minimizes the sampled quadratic along d converges far faster
+		// than a fixed displacement; the paper's s/||d|| rule serves as
+		// fallback when the minibatch curvature vanishes, and a trust
+		// region bounds the displacement against minibatch noise. The
+		// reduction sums fixed miniGrain-sized sample blocks, then the
+		// block sums in block order.
 		st.RowWork += k
 		var numer, denom float64
-		for b := 0; b < kBlocks; b++ {
-			numer += alphaN[b]
-			denom += alphaD[b]
+		for lo := 0; lo < k; lo += miniGrain {
+			var nPart, dPart float64
+			for t := lo; t < min(lo+miniGrain, k); t++ {
+				ad := refRowDot(p.A, rows[t], d)
+				w := 1.0
+				if active[t] {
+					w += p.Penalty // penalty-active rows carry extra curvature
+				}
+				nPart += coeffs[t] * ad
+				dPart += w * ad * ad
+			}
+			numer += nPart
+			denom += dPart
 		}
 		var alpha float64
 		if denom > 0 {
@@ -241,7 +370,7 @@ func refSCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float6
 		num.Axpy(alpha, d, x)
 		copy(gPrev, g)
 		if st.Iters%checkEvery == 0 {
-			f := p.Objective(x)
+			f := refObjective(p, x)
 			st.RowWork += m
 			obsObjective.Set(f)
 			switch {
@@ -284,7 +413,7 @@ func refSCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float6
 			break
 		}
 	}
-	if f := p.Objective(x); f < bestF {
+	if f := refObjective(p, x); f < bestF {
 		bestF = f
 		copy(best, x)
 	}
@@ -298,12 +427,10 @@ func refSCG(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float6
 	return x, st, nil
 }
 
-// refSCGRS is SCGRS as it stood before its rounds shared one working
-// set, calling refSCG, kept verbatim as the fused solver's reference.
-// Algorithm 1 stacked on Algorithm 2 (SCG + RS in Table 4):
-// uniformly sample a tiny fraction of the rows, solve the reduced problem
-// with SCG, and double the sampling ratio until the solution stabilizes
-// within eps_u.
+// refSCGRS is the reference Algorithm 1 stacked on refSCG (SCG + RS in
+// Table 4): uniformly sample a tiny fraction of the rows, solve the
+// reduced problem, and double the sampling ratio until the solution
+// stabilizes within eps_u.
 func refSCGRS(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64, Stats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, Stats{}, err
@@ -326,14 +453,17 @@ func refSCGRS(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]floa
 		st.Converged = true
 		return x, st, nil
 	}
-	f0 := p.Objective(x)
+	f0 := refObjective(p, x)
 	st.RowWork += m
 	// Algorithm 1 doubles the sampling ratio each round; the row count is
-	// floored at MinRows so the doubling acts on the actual system size
-	// from the first round on.
+	// floored at MinRows, and at one row, so the doubling acts on the
+	// actual system size from the first round on.
 	rows := int(opt.R0 * float64(m))
 	if rows < opt.MinRows {
 		rows = opt.MinRows
+	}
+	if rows < 1 {
+		rows = 1
 	}
 	if rows > m {
 		rows = m
@@ -348,7 +478,7 @@ func refSCGRS(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]floa
 			break
 		}
 		sel := r.SampleWithoutReplacement(m, rows)
-		sub := p.SubProblem(sel)
+		sub := refSubProblem(p, sel)
 		st.RowWork += rows
 		var innerStats Stats
 		var err error
@@ -387,7 +517,7 @@ func refSCGRS(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]floa
 		}
 	}
 	st.Converged = st.Reason.terminal()
-	st.Objective = p.Objective(x)
+	st.Objective = refObjective(p, x)
 	st.RowWork += m
 	st.Improved = st.Objective < f0
 	st.Elapsed = time.Since(start)
@@ -598,12 +728,12 @@ func checkMatchesReference(t *testing.T, c refCase) (scgStats, scgrsStats Stats)
 	return scgStats, scgrsStats
 }
 
-// TestSCGMatchesReference: the fused SCG and the shared-working-set SCGRS
-// are the solvers they replaced, bit for bit, over seeded problems from
-// 8x3 to 5000x1600, both penalties, nil and random guards, nil, random
-// and non-finite warm starts, both row samplers, the blocked minibatch
-// path, and fault schedules that reach the NaN-gradient reset, the
-// non-finite-step branch and the divergence revert.
+// TestSCGMatchesReference: SCG and SCGRS equal the independent reference
+// bit for bit, over seeded problems from 8x3 to 5000x1600, both
+// penalties, nil and random guards, nil, random and non-finite warm
+// starts, both row samplers, minibatches past miniGrain (a multi-block
+// step reduction), and fault schedules that reach the NaN-gradient reset,
+// the non-finite-step branch and the divergence revert.
 func TestSCGMatchesReference(t *testing.T) {
 	cases := []refCase{
 		{seed: 1, rows: 8, cols: 3, perRow: 3, maxIters: 300, workers: 1},
@@ -642,7 +772,7 @@ func TestSCGMatchesReference(t *testing.T) {
 		}
 	}
 	if nanResets == 0 || stepResets == 0 || reverts == 0 || blocked == 0 {
-		t.Fatalf("a branch went unexercised: %d NaN-gradient resets, %d non-finite-step resets, %d reverts, %d blocked-minibatch cases",
+		t.Fatalf("a branch went unexercised: %d NaN-gradient resets, %d non-finite-step resets, %d reverts, %d blocked step-reduction cases",
 			nanResets, stepResets, reverts, blocked)
 	}
 }

@@ -108,7 +108,7 @@ const evalBlocks = 8
 // accumulator merge.
 const evalMergeGrain = 2048
 
-// miniGrain is the sample-block grain of SCG's minibatch kernels.
+// miniGrain is the sample-block grain of SCG's step reduction.
 const miniGrain = 256
 
 // evalGeometry returns the fixed row-block decomposition of the
@@ -139,7 +139,6 @@ type Scratch struct {
 
 	eval  evalBody  // reusable blocked evaluation body
 	merge mergeBody // reusable accumulator-merge body
-	mini  miniBody  // reusable SCG minibatch-dot body
 	alpha alphaBody // reusable SCG step-reduction body
 }
 
@@ -239,28 +238,6 @@ func (b *mergeBody) Chunk(_, lo, hi int) {
 			s += b.acc[t][j]
 		}
 		b.dst[j] = s
-	}
-}
-
-// miniBody computes SCG's per-sample row terms: coeffs[t] and active[t]
-// are slot-written, so the kernel is bit-identical at every worker count.
-// The gradient scatter stays serial in the caller (it preserves the exact
-// accumulation order of the reference implementation).
-type miniBody struct {
-	p      *Problem
-	x      []float64
-	rows   []int
-	coeffs []float64
-	active []bool
-}
-
-func (mb *miniBody) Chunk(_, lo, hi int) {
-	p := mb.p
-	for t := lo; t < hi; t++ {
-		axi := p.A.RowDot(mb.rows[t], mb.x)
-		resid, short := p.rowTerm(mb.rows[t], axi)
-		mb.coeffs[t] = resid - p.Penalty*short
-		mb.active[t] = short > 0
 	}
 }
 
@@ -508,8 +485,11 @@ func cancelled(ctx context.Context) bool {
 	}
 }
 
-// Options bundles every tunable of the three solvers; zero fields fall
-// back to the paper's defaults (see DefaultOptions).
+// Options bundles every tunable of the three solvers. Every field is
+// taken as given, zeros included: start from DefaultOptions for the
+// paper's parameter set. Whatever KFrac, KMin, R0 and MinRows say, SCG
+// samples at least one row per step and Algorithm 1 at least one row in
+// its first round.
 type Options struct {
 	// Shared.
 	Tol      float64 // eps_c: relative solution change to stop at (1e-3)
@@ -787,13 +767,9 @@ func scg(ctx context.Context, p *Problem, opt Options, r *rng.Rand, w *scgWork) 
 		st.Elapsed = time.Since(start)
 		return x, st, nil
 	}
-	k := int(opt.KFrac * float64(m))
-	if k < opt.KMin {
-		k = opt.KMin
-	}
-	if k > m {
-		k = m
-	}
+	// An empty minibatch would leave g at zero and stop at once on a false
+	// zero gradient, so a step samples at least one row.
+	k := min(max(int(opt.KFrac*float64(m)), opt.KMin, 1), m)
 
 	w.g, w.gPrev, w.d = resize(w.g, n), resize(w.gPrev, n), resize(w.d, n)
 	g, gPrev, d := w.g, w.gPrev, w.d
@@ -801,16 +777,12 @@ func scg(ctx context.Context, p *Problem, opt Options, r *rng.Rand, w *scgWork) 
 	w.rows, w.coeffs, w.active = resize(w.rows, k), resize(w.coeffs, k), resize(w.active, k)
 	rows, coeffs, active := w.rows, w.coeffs, w.active
 
-	// Reusable minibatch kernels: sampling stays serial (preserving the
-	// RNG stream and the reference gradient exactly), the per-sample dot
-	// products and the step reduction run blocked. x and d are updated in
-	// place throughout the loop, so the bodies are wired up once here.
+	// The step reduction runs blocked. d is updated in place throughout the
+	// loop, so its body is wired up once here.
 	sc := p.EnsureScratch()
 	kWorkers := p.A.Parallelism()
 	kBlocks := par.Blocks(k, miniGrain)
 	alphaN, alphaD := sc.ensureAlpha(kBlocks)
-	mb := &sc.mini
-	mb.p, mb.x, mb.rows, mb.coeffs, mb.active = p, x, rows, coeffs, active
 	ab := &sc.alpha
 	ab.p, ab.d, ab.rows, ab.coeffs, ab.active = p, d, rows, coeffs, active
 	ab.numer, ab.denom = alphaN, alphaD
@@ -866,18 +838,19 @@ func scg(ctx context.Context, p *Problem, opt Options, r *rng.Rand, w *scgWork) 
 			st.Reason = StopDiverged
 			break
 		}
-		// Lines 3-5: sample k'' rows by Eq. (11), gradient on them only.
-		// The draw is serial (one RNG stream), the row terms are computed
-		// by the blocked slot-writing kernel, and the scatter back into g
-		// is serial in sample order — together bit-identical to the
-		// reference single-loop implementation at every worker count.
-		for t := 0; t < k; t++ {
-			rows[t] = sampler.Sample(r)
-		}
-		par.ForBody(kWorkers, k, miniGrain, mb)
+		// Lines 3-5: sample k'' rows by Eq. (11), gradient on them only, in
+		// one serial pass in sample order: draw the row (one RNG stream),
+		// compute its term at x and scatter it into g. x stays fixed and
+		// the scatters write only g, in sample order, so this is
+		// bit-identical to drawing all rows, then computing all terms,
+		// then scattering all of them.
 		num.Fill(g, 0)
-		for t := 0; t < k; t++ {
-			p.A.AddScaledRow(g, rows[t], 2*coeffs[t])
+		for t := range rows {
+			i := sampler.Sample(r)
+			resid, short := p.rowTerm(i, p.A.RowDot(i, x))
+			c := resid - p.Penalty*short
+			rows[t], coeffs[t], active[t] = i, c, short > 0
+			p.A.AddScaledRow(g, i, 2*c)
 		}
 		st.RowWork += 2 * k
 		faultinject.Slice(faultinject.SolverGradient, g)
@@ -1066,15 +1039,9 @@ func SCGRS(ctx context.Context, p *Problem, opt Options, r *rng.Rand) ([]float64
 	f0 := p.Objective(x)
 	st.RowWork += m
 	// Algorithm 1 doubles the sampling ratio each round; the row count is
-	// floored at MinRows so the doubling acts on the actual system size
-	// from the first round on.
-	rows := int(opt.R0 * float64(m))
-	if rows < opt.MinRows {
-		rows = opt.MinRows
-	}
-	if rows > m {
-		rows = m
-	}
+	// floored at MinRows, and at one row, so the doubling acts on the
+	// actual system size from the first round on.
+	rows := min(max(int(opt.R0*float64(m)), opt.MinRows, 1), m)
 	havePrev := false
 	inner := opt
 	st.Reason = StopMaxIters

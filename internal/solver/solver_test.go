@@ -229,6 +229,37 @@ func TestSCGAllZeroMatrix(t *testing.T) {
 	}
 }
 
+// TestSCGSamplesAtLeastOneRow: with KFrac, KMin, R0 and MinRows at zero,
+// SCG's minibatch and Algorithm 1's first round still hold one row. An
+// empty minibatch leaves the sampled gradient at zero, so SCG would stop
+// at its start on a zero gradient the system does not have (x = 0,
+// objective 25, converged), and every SCGRS round would solve an empty
+// sample. A nonempty minibatch whose sampled gradient or conjugate
+// direction vanishes away from the optimum still stops SCG with
+// StopZeroGrad; the committed bufcase fit stops that way, so this test
+// pins the empty minibatch alone.
+func TestSCGSamplesAtLeastOneRow(t *testing.T) {
+	b := sparse.NewBuilder(2)
+	b.AddRow([]int{0}, []float64{1})
+	b.AddRow([]int{1}, []float64{1})
+	p := &Problem{A: b.Build(), B: []float64{3, 4}}
+	opt := DefaultOptions()
+	opt.KFrac, opt.KMin, opt.R0, opt.MinRows = 0, 0, 0, 0
+	for _, s := range []struct {
+		name  string
+		solve func(context.Context, *Problem, Options, *rng.Rand) ([]float64, Stats, error)
+	}{{"SCG", SCG}, {"SCGRS", SCGRS}} {
+		x, st, err := s.solve(bg, p, opt, rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.RowsUsed < 1 || st.Iters < 1 || !st.Improved || st.Objective >= p.ObjectiveAtZero() {
+			t.Fatalf("%s took no step: %d rows, %d iterations, %v, objective %v at x = %v (%v at the start)",
+				s.name, st.RowsUsed, st.Iters, st.Reason, st.Objective, x, p.ObjectiveAtZero())
+		}
+	}
+}
+
 func TestSCGRSConvergesAndUsesFewRows(t *testing.T) {
 	p, _ := randProblem(9, 3000, 60, 6, 8, 10)
 	opt := DefaultOptions()

@@ -139,8 +139,73 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// fuzzMatrix builds a rows x cols matrix whose rows hold 0..perRow
+// entries (repeated columns merge), so empty rows occur.
+func fuzzMatrix(t testing.TB, r *rng.Rand, rows, cols, perRow int) *Matrix {
+	t.Helper()
+	b := NewBuilder(cols)
+	for i := 0; i < rows; i++ {
+		n := r.Intn(perRow + 1)
+		idx := make([]int, n)
+		val := make([]float64, n)
+		for k := range idx {
+			idx[k] = r.Intn(cols)
+			val[k] = r.Float64()*2 - 1
+		}
+		if err := b.AddRow(idx, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Build()
+}
+
+// checkRowKernels requires RowDot, AddScaledRow, RowNormsSq and MulVec to
+// equal plain index-order loops over Row(i) bit for bit, row by row.
+func checkRowKernels(t *testing.T, name string, m *Matrix, r *rng.Rand) {
+	t.Helper()
+	x := randVec(r, m.Cols())
+	ax := m.MulVec(nil, x)
+	norms := m.RowNormsSq()
+	for i := 0; i < m.Rows(); i++ {
+		cols, vals := m.Row(i)
+		var want float64
+		for k := 0; k < len(cols); k++ {
+			want += vals[k] * x[cols[k]]
+		}
+		if got := m.RowDot(i, x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: RowDot(%d) = %v, loop %v", name, i, got, want)
+		}
+		if math.Float64bits(ax[i]) != math.Float64bits(want) {
+			t.Fatalf("%s: MulVec[%d] = %v, loop %v", name, i, ax[i], want)
+		}
+		var nsq float64
+		for k := 0; k < len(vals); k++ {
+			nsq += vals[k] * vals[k]
+		}
+		if math.Float64bits(norms[i]) != math.Float64bits(nsq) {
+			t.Fatalf("%s: RowNormsSq[%d] = %v, loop %v", name, i, norms[i], nsq)
+		}
+		alpha := r.NormFloat64()
+		got := randVec(r, m.Cols())
+		wantDst := append([]float64(nil), got...)
+		m.AddScaledRow(got, i, alpha)
+		for k := 0; k < len(cols); k++ {
+			wantDst[cols[k]] += alpha * vals[k]
+		}
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(wantDst[j]) {
+				t.Fatalf("%s: AddScaledRow(row %d, %v)[%d] = %v, loop %v", name, i, alpha, j, got[j], wantDst[j])
+			}
+		}
+	}
+}
+
 // FuzzMulVec cross-checks the (possibly parallel) CSR product against a
-// naive dense reference on randomized shapes.
+// naive dense reference on randomized shapes, then requires the row
+// kernels to equal index-order loops over Row(i) bit for bit on two
+// matrices: the fuzzed one, empty rows included, and a SelectRows sample
+// that repeats and permutes its rows, grown past the parallel cutoff
+// when the fuzzed worker count is odd.
 func FuzzMulVec(f *testing.F) {
 	f.Add(uint64(1), uint16(50), uint16(20), uint8(4), uint8(3))
 	f.Add(uint64(42), uint16(1), uint16(1), uint8(1), uint8(1))
@@ -150,9 +215,9 @@ func FuzzMulVec(f *testing.F) {
 		cols := int(cols16)%128 + 1
 		perRow := int(perRow8)%8 + 1
 		workers := int(workers8) % 9
-		m := bigRandMatrix(t, seed, rows, cols, perRow)
-		m.SetParallelism(workers)
 		r := rng.New(seed ^ 0x9e3779b97f4a7c15)
+		m := fuzzMatrix(t, rng.New(seed), rows, cols, perRow)
+		m.SetParallelism(workers)
 		x := randVec(r, cols)
 		got := m.MulVec(nil, x)
 		dense := m.Dense()
@@ -168,5 +233,20 @@ func FuzzMulVec(f *testing.F) {
 					rows, cols, perRow, workers, i, got[i], want)
 			}
 		}
+		checkRowKernels(t, "fuzzed", m, r)
+
+		sel := make([]int, rows+r.Intn(rows))
+		for k := range sel {
+			sel[k] = r.Intn(rows)
+		}
+		sel = append(sel, sel[0]) // at least one repeat
+		if workers%2 == 1 && m.NNZ() > 0 {
+			for nnz := m.SelectRows(sel).NNZ(); nnz < parCutoffNNZ; {
+				i := r.Intn(rows)
+				cols, _ := m.Row(i)
+				sel, nnz = append(sel, i), nnz+len(cols)
+			}
+		}
+		checkRowKernels(t, "sample", m.SelectRows(sel), r)
 	})
 }

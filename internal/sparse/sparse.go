@@ -161,11 +161,15 @@ func (m *Matrix) Cols() int { return m.cols }
 // NNZ returns the number of stored entries.
 func (m *Matrix) NNZ() int { return len(m.val) }
 
-// Row returns the column indices and values of row i as shared slices; the
-// caller must not modify them.
+// Row returns the column indices and values of row i as shared slices of
+// equal length; the caller must not modify them. Every row loop of the
+// package ranges over this pair: the compiler then knows each values[k]
+// is in range, so the only bounds check left per stored entry is the
+// gather or scatter through a column index.
 func (m *Matrix) Row(i int) (indices []int, values []float64) {
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	return m.colIdx[lo:hi], m.val[lo:hi]
+	indices = m.colIdx[lo:hi]
+	return indices, m.val[lo:hi][:len(indices)]
 }
 
 // SetParallelism sets the worker count used by the bulk kernels (MulVec,
@@ -222,13 +226,8 @@ type mulBody struct {
 }
 
 func (b *mulBody) Chunk(_, lo, hi int) {
-	m := b.m
 	for i := lo; i < hi; i++ {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.val[k] * b.x[m.colIdx[k]]
-		}
-		b.dst[i] = s
+		b.dst[i] = b.m.RowDot(i, b.x)
 	}
 }
 
@@ -245,14 +244,9 @@ func (b *mulTBody) Chunk(blk, lo, hi int) {
 	for j := range a {
 		a[j] = 0
 	}
-	m := b.m
 	for i := lo; i < hi; i++ {
-		yi := b.y[i]
-		if yi == 0 {
-			continue
-		}
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			a[m.colIdx[k]] += m.val[k] * yi
+		if yi := b.y[i]; yi != 0 {
+			b.m.AddScaledRow(a, i, yi)
 		}
 	}
 }
@@ -281,13 +275,8 @@ type normsBody struct {
 }
 
 func (b *normsBody) Chunk(_, lo, hi int) {
-	m := b.m
 	for i := lo; i < hi; i++ {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.val[k] * m.val[k]
-		}
-		b.dst[i] = s
+		b.dst[i] = b.m.rowNormSq(i)
 	}
 }
 
@@ -339,12 +328,8 @@ func (m *Matrix) MulVec(dst, x []float64) []float64 {
 		kernelPool.Put(sc)
 		return dst
 	}
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.val[k] * x[m.colIdx[k]]
-		}
-		dst[i] = s
+	for i := range dst {
+		dst[i] = m.RowDot(i, x)
 	}
 	return dst
 }
@@ -379,32 +364,43 @@ func (m *Matrix) MulTVec(dst, y []float64) []float64 {
 	for j := range dst {
 		dst[j] = 0
 	}
-	for i := 0; i < m.rows; i++ {
-		yi := y[i]
-		if yi == 0 {
-			continue
-		}
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			dst[m.colIdx[k]] += m.val[k] * yi
+	// AddScaledRow's products yi·a_ij are the a_ij·yi of a transpose loop
+	// bit for bit: IEEE multiplication commutes.
+	for i, yi := range y {
+		if yi != 0 {
+			m.AddScaledRow(dst, i, yi)
 		}
 	}
 	return dst
 }
 
-// RowDot returns <a_i, x>, the product of row i with x.
+// RowDot returns <a_i, x>, the product of row i with x, summed in column
+// order.
 func (m *Matrix) RowDot(i int, x []float64) float64 {
+	cols, vals := m.Row(i)
 	var s float64
-	for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-		s += m.val[k] * x[m.colIdx[k]]
+	for k, c := range cols {
+		s += vals[k] * x[c]
 	}
 	return s
 }
 
 // AddScaledRow performs dst += alpha * a_i for the sparse row i.
 func (m *Matrix) AddScaledRow(dst []float64, i int, alpha float64) {
-	for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-		dst[m.colIdx[k]] += alpha * m.val[k]
+	cols, vals := m.Row(i)
+	for k, c := range cols {
+		dst[c] += alpha * vals[k]
 	}
+}
+
+// rowNormSq returns ||a_i||^2, summed in column order.
+func (m *Matrix) rowNormSq(i int) float64 {
+	_, vals := m.Row(i)
+	var s float64
+	for _, v := range vals {
+		s += v * v
+	}
+	return s
 }
 
 // RowNormsSq returns ||a_i||^2 for every row — the sampling weights of
@@ -419,12 +415,8 @@ func (m *Matrix) RowNormsSq() []float64 {
 		kernelPool.Put(sc)
 		return out
 	}
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.val[k] * m.val[k]
-		}
-		out[i] = s
+	for i := range out {
+		out[i] = m.rowNormSq(i)
 	}
 	return out
 }
@@ -458,8 +450,9 @@ func (m *Matrix) SelectRows(rows []int) *Matrix {
 	ci := make([]int, 0, nnz)
 	vv := make([]float64, 0, nnz)
 	for _, i := range rows {
-		ci = append(ci, m.colIdx[m.rowPtr[i]:m.rowPtr[i+1]]...)
-		vv = append(vv, m.val[m.rowPtr[i]:m.rowPtr[i+1]]...)
+		cols, vals := m.Row(i)
+		ci = append(ci, cols...)
+		vv = append(vv, vals...)
 	}
 	return &Matrix{rows: len(rows), cols: m.cols, rowPtr: rp, colIdx: ci, val: vv, par: m.par}
 }
@@ -470,8 +463,9 @@ func (m *Matrix) Dense() [][]float64 {
 	out := make([][]float64, m.rows)
 	for i := range out {
 		out[i] = make([]float64, m.cols)
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			out[i][m.colIdx[k]] = m.val[k]
+		cols, vals := m.Row(i)
+		for k, c := range cols {
+			out[i][c] = vals[k]
 		}
 	}
 	return out
