@@ -13,9 +13,13 @@
 // Requests honor an X-Deadline-Ms header: a calibration that overruns its
 // deadline returns the degradation ladder's never-optimistic result with
 // HTTP 200 instead of dropping the connection. Saturation is refused
-// early with 429 + Retry-After. On SIGTERM/SIGINT the daemon drains
-// in-flight requests, snapshots every session, and exits; a restarted
-// daemon resumes each persisted session bit-identically.
+// early with 429 + Retry-After. Each accepted batch appends one
+// checksummed record to the session's journal before the answer; the
+// journal is folded into a full checkpoint once it reaches the
+// checkpoint's size. On SIGTERM/SIGINT the daemon drains in-flight
+// requests, checkpoints every session, and exits; a restarted daemon,
+// killed or drained, replays each session's journal over its checkpoint
+// and resumes it bit-identically.
 package main
 
 import (
@@ -34,13 +38,13 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port, printed to stdout)")
-	snapshots := flag.String("snapshots", "", "directory for crash-safe session snapshots (empty: sessions are memory-only)")
+	snapshots := flag.String("snapshots", "", "directory for crash-safe session persistence: a checkpoint <id>.ckpt and a journal <id>.journal per session (empty: sessions are memory-only)")
 	maxSessions := flag.Int("max-sessions", 0, "resident session cap; least recently used sessions are snapshotted and evicted beyond it (0: default)")
 	maxInflight := flag.Int("max-inflight", 0, "concurrently admitted requests before 429 (0: default)")
 	maxQueue := flag.Int("max-queue", 0, "queued requests per session before 429 (0: default)")
 	idle := flag.Duration("idle-timeout", 0, "evict sessions untouched this long (0: default)")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline when no X-Deadline-Ms is sent (0: default)")
-	snapEvery := flag.Duration("snapshot-every", 0, "write-behind snapshot cadence (0: snapshot synchronously after every batch)")
+	snapEvery := flag.Duration("snapshot-every", 0, "write-behind cadence: append one journal record per changed session this often (0: append synchronously after every batch, before its answer)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to drain in-flight requests on shutdown")
 	par := flag.Int("par", 0, "worker count for timing and solver kernels (0: GOMAXPROCS)")
 	viewpair := flag.String("viewpair", "", "default view pair for new sessions: gba-pba (default) or preroute; a session's view_pair field overrides")

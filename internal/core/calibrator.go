@@ -36,8 +36,12 @@ import (
 // invalidate the engine.Session itself; Rebind moves the calibrator, cache
 // included, to the session rebuilt for the new design state.
 //
-// A Calibrator is not safe for concurrent use. Returned models are never
-// mutated by later calls.
+// A Calibrator is not safe for concurrent use. A returned model's
+// Weights, Correction, GoldenSlack, MGBA and its other results are never
+// mutated by later calls, with one exception: Model.GBA is the
+// calibrator's cached baseline, valid only until the calibrator's next
+// Calibrate, Recalibrate, Rebind or Invalidate, which advance it in place
+// or recycle its buffers. Clone it to keep it.
 type Calibrator struct {
 	sess    *engine.Session
 	opt     Options

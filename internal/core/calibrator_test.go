@@ -334,3 +334,52 @@ func TestRecalibrateMaxPathsDropsCache(t *testing.T) {
 		t.Fatal("cold calibration after the cap error differs from a fresh cold")
 	}
 }
+
+// TestModelSurvivesLaterCalls pins the Calibrator's model contract: a
+// returned model's weights, corrections, golden slacks and mGBA
+// re-analysis keep every bit through a later Recalibrate and a later
+// Calibrate. (Its GBA is the calibrator's cached baseline and is not
+// pinned: it is valid only until the next call.)
+func TestModelSurvivesLaterCalls(t *testing.T) {
+	d, err := gen.Generate(gen.Suite()[2]) // D3
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.Build(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal, err := core.NewCalibrator(engine.NewSession(g), sta.DefaultConfig(), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	m, err := cal.Calibrate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := func(m *core.Model) [][]float64 {
+		return [][]float64{m.Weights, m.Correction, m.GoldenSlack, m.MGBA.Slack, {m.MGBA.WNS, m.MGBA.TNS}}
+	}
+	var kept [][]float64
+	for _, f := range fields(m) {
+		kept = append(kept, append([]float64(nil), f...))
+	}
+	check := func(after string) {
+		t.Helper()
+		names := []string{"Weights", "Correction", "GoldenSlack", "MGBA.Slack", "MGBA WNS/TNS"}
+		for i, f := range fields(m) {
+			if len(f) == 0 || !sameFloats(f, kept[i]) {
+				t.Errorf("after %s: the earlier model's %s changed (%d entries)", after, names[i], len(f))
+			}
+		}
+	}
+	if _, err := cal.Recalibrate(ctx, upsizeSelected(t, d, g, m, 8)); err != nil {
+		t.Fatal(err)
+	}
+	check("a Recalibrate")
+	if _, err := cal.Calibrate(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check("a Calibrate")
+}

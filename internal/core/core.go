@@ -164,7 +164,10 @@ type Model struct {
 	Opt     Options
 	Pair    string // name of the view pair the model was fitted on
 
-	GBA       *sta.Result        // baseline cheap analysis
+	// GBA is the baseline cheap analysis. From a Calibrator it is the
+	// calibrator's cached baseline, valid until its next Calibrate,
+	// Recalibrate, Rebind or Invalidate; clone it to keep it.
+	GBA       *sta.Result
 	Selection *pathsel.Selection // calibration paths (empty when streamed)
 
 	// Bank holds the calibration paths in slab form when the model was

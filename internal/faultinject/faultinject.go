@@ -59,10 +59,15 @@ const (
 	// hook makes the pre-eviction snapshot fail, simulating eviction
 	// racing a full disk.
 	ServeEvict
-	// ServeSnapshot fires before the daemon persists a session snapshot;
-	// an error hook simulates a crash window in which recent batches
-	// never reach disk (the session stays dirty and is retried).
+	// ServeSnapshot fires before the daemon writes a session's full
+	// checkpoint (its first persist, a compaction, eviction or drain); an
+	// error hook simulates a crash window in which that write never
+	// reaches disk.
 	ServeSnapshot
+	// ServeJournal fires before the daemon appends a session's journal
+	// record; an error hook simulates a crash window in which recent
+	// batches never reach disk (the session stays dirty and is retried).
+	ServeJournal
 	numPoints
 )
 

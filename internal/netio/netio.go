@@ -8,7 +8,10 @@
 // persistence (write to a temp file in the target directory, fsync,
 // rename) and a checkpoint format bundling a design with calibration
 // weights and an opaque flow-state blob — the durability layer of the
-// closure flow's checkpoint/resume mechanism.
+// closure flow's checkpoint/resume mechanism. Beside a checkpoint, an
+// append-only journal (journal.go) records the resizes, weights and state
+// of each later change in checksummed binary records, replayed over the
+// checkpoint on resume.
 package netio
 
 import (

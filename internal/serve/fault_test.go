@@ -19,10 +19,10 @@ import (
 // TestCrashMidBatchResumesBitIdentical is the daemon's headline
 // robustness contract, end to end:
 //
-//  1. a session absorbs batch 1 and snapshots it;
-//  2. batch 2 lands but its snapshot "crashes" (injected write fault), and
-//     the process dies without a graceful drain — the disk still holds the
-//     batch-1 state;
+//  1. a session absorbs batch 1 and journals it;
+//  2. batch 2 lands but its journal record "crashes" (injected write
+//     fault), and the process dies without a graceful drain — the disk
+//     still holds the batch-1 state;
 //  3. a restarted daemon resumes the session bit-identically to the
 //     batch-1 state (slacks, weights, batch counter);
 //  4. replaying batch 2 on the restarted daemon lands bit-identically on
@@ -47,10 +47,12 @@ func TestCrashMidBatchResumesBitIdentical(t *testing.T) {
 	wantStatus(t, doJSON(t, "POST", tsA.URL+"/v1/sessions/crash/batch", batch1, nil), http.StatusOK)
 	afterBatch1 := getSlacks(t, tsA.URL, "crash")
 
-	// Batch 2: the recalibration succeeds in memory but every snapshot
-	// write from here on fails — the disk is frozen at the batch-1 state.
+	// Batch 2: the recalibration succeeds in memory but every journal
+	// append and checkpoint write from here on fails — the disk is frozen
+	// at the batch-1 state.
 	boom := errors.New("injected snapshot crash")
 	faultinject.SetError(faultinject.ServeSnapshot, func() error { return boom })
+	faultinject.SetError(faultinject.ServeJournal, func() error { return boom })
 	var br2 batchResponse
 	wantStatus(t, doJSON(t, "POST", tsA.URL+"/v1/sessions/crash/batch", batch2, &br2), http.StatusOK)
 	afterBatch2 := getSlacks(t, tsA.URL, "crash")
@@ -331,6 +333,7 @@ func TestSnapshotFaultKeepsServing(t *testing.T) {
 	createInline(t, ts.URL, "flaky", d)
 
 	faultinject.SetError(faultinject.ServeSnapshot, func() error { return errors.New("injected disk full") })
+	faultinject.SetError(faultinject.ServeJournal, func() error { return errors.New("injected disk full") })
 	wantStatus(t, doJSON(t, "POST", ts.URL+"/v1/sessions/flaky/batch", upsizeBatch(ids), nil), http.StatusOK)
 	s := sv.getSession("flaky")
 	if !s.dirty.Load() {

@@ -313,6 +313,9 @@ func (sv *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sv.statusLocked(s))
 }
 
+// handleDelete drops a session and its files. It joins the session's
+// writer queue and tombstones the session before removing them: a batch
+// in flight finishes and persists first, and nothing persists after.
 func (sv *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sv.mu.Lock()
@@ -321,20 +324,23 @@ func (sv *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	obsSessions.SetInt(len(sv.sessions))
 	sv.pairGaugesLocked()
 	sv.mu.Unlock()
+	if s != nil {
+		s.queued.Add(1)
+		s.mu.Lock()
+		s.deleted = true
+		s.closeJournalLocked()
+		s.release()
+	}
 	hadSnapshot := false
 	if sv.cfg.SnapshotDir != "" {
 		if err := os.Remove(sv.snapshotPath(id)); err == nil {
 			hadSnapshot = true
 		}
+		_ = os.Remove(sv.journalPath(id))
 	}
 	if s == nil && !hadSnapshot {
 		writeError(w, http.StatusNotFound, "no session %q", id)
 		return
-	}
-	if s != nil {
-		s.mu.Lock()
-		s.deleted = true
-		s.mu.Unlock()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"deleted": id})
 }
@@ -424,12 +430,13 @@ func (sv *Server) handleRecalibrate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sv.statusLocked(s))
 }
 
-// flushAfterBatch persists synchronously when no write-behind cadence is
-// configured; otherwise the maintenance loop picks the dirty flag up on
-// its next sweep. Failures leave the session dirty for retry.
+// flushAfterBatch persists synchronously, one journal record before the
+// answer, when no write-behind cadence is configured; otherwise the
+// maintenance loop picks the dirty flag up on its next sweep. Failures
+// leave the session dirty for retry.
 func (sv *Server) flushAfterBatch(s *session) {
 	if sv.cfg.SnapshotEvery <= 0 {
-		_ = sv.snapshotLocked(s)
+		_ = sv.persistLocked(s)
 	}
 }
 

@@ -25,6 +25,12 @@ var (
 	obsEvictIdle   = obs.NewCounter("serve.evictions.idle")
 	obsSnapshotOK  = obs.NewCounter("serve.snapshots.ok")
 	obsSnapshotErr = obs.NewCounter("serve.snapshots.fail")
+
+	obsJournalAppends     = obs.NewCounter("serve.journal.appends")
+	obsJournalCompactions = obs.NewCounter("serve.journal.compactions")
+	obsJournalTail        = obs.NewCounter("serve.journal.tail_dropped")
+	obsPersistBytes       = obs.NewCounter("serve.persist.bytes")
+
 	obsResumed     = obs.NewCounter("serve.sessions.resumed")
 	obsQuarantined = obs.NewCounter("serve.sessions.quarantined")
 	obsResurrected = obs.NewCounter("serve.sessions.resurrected")

@@ -23,19 +23,27 @@
 //     internal/par pool's saturation is exported alongside
 //     (serve.par_active, par.pool.queue_full) so the decision is
 //     observable, not inferred.
-//   - Crash safety: sessions persist through checkpoint format v2 on a
-//     write-behind cadence, on eviction, and on graceful shutdown
-//     (SIGTERM drains in-flight requests, then snapshots). A restarted
-//     daemon resumes every persisted session bit-identically — mGBA
-//     slacks are a pure function of (design state, fitted weights), and a
-//     resumed calibrator warm-started from the persisted weights re-fits
-//     bit-identically to the incremental path (the PR-3 exactness
-//     contract). Corrupt snapshot blobs are quarantined per-session;
-//     startup never fails on one bad file.
+//   - Crash safety: a session's durable form is a checkpoint (format v2)
+//     plus an append-only journal beside it. Each accepted batch, or each
+//     write-behind sweep, appends one checksummed record (the resizes
+//     since the last record, the fitted weights and the serving state),
+//     fsynced before the answer. A full checkpoint is written on the
+//     first persist, on eviction and on graceful shutdown (SIGTERM drains
+//     in-flight requests, then checkpoints), and whenever the journal has
+//     grown to the checkpoint's size, which then truncates the journal. A
+//     restarted daemon loads the checkpoint, replays the journal and
+//     resumes every persisted session bit-identically — mGBA slacks are a
+//     pure function of (design state, fitted weights), and a resumed
+//     calibrator warm-started from the persisted weights re-fits
+//     bit-identically to the incremental path (the calibrator exactness
+//     contract). A torn last record was never answered and is dropped; a
+//     corrupt checkpoint or journal quarantines its session, and startup
+//     never fails on one bad file.
 package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -59,8 +67,9 @@ import (
 // Config parameterizes the daemon. The zero value is not usable; start
 // from DefaultConfig.
 type Config struct {
-	// SnapshotDir is where per-session checkpoint-v2 snapshots live
-	// (<dir>/<id>.ckpt). Empty disables persistence: sessions are
+	// SnapshotDir is where sessions persist: a checkpoint-v2 snapshot
+	// (<dir>/<id>.ckpt) and the journal of records appended since it
+	// (<dir>/<id>.journal). Empty disables persistence: sessions are
 	// memory-only and eviction loses them.
 	SnapshotDir string
 	// MaxSessions bounds resident sessions; beyond it the least recently
@@ -81,9 +90,10 @@ type Config struct {
 	// RetryAfter is the base backoff hint attached to 429/503 responses;
 	// the advertised value is jittered over [base/2, 3*base/2).
 	RetryAfter time.Duration
-	// SnapshotEvery is the write-behind cadence: dirty sessions are
-	// flushed at most this often by the maintenance loop. Zero flushes
-	// synchronously after every accepted batch (safest, slowest).
+	// SnapshotEvery is the write-behind cadence: the maintenance loop
+	// appends one journal record per dirty session at most this often.
+	// Zero appends a record synchronously after every accepted batch,
+	// before the answer (safest, slowest).
 	SnapshotEvery time.Duration
 	// STA is the base analysis configuration (Weights must be nil; the
 	// serving layer manages weights per session).
@@ -96,7 +106,8 @@ type Config struct {
 
 // DefaultConfig returns serving defaults tuned for many small sessions:
 // the calibration profile matches the closure loop's (faster solver
-// schedule, same exactness), and snapshots flush after every batch.
+// schedule, same exactness), and every batch is journaled before its
+// answer.
 func DefaultConfig() Config {
 	coreOpt := core.DefaultOptions()
 	coreOpt.Solver.MinRows = 512
@@ -130,6 +141,12 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[string]*session
+	// evicting holds, by ID, the sessions taken out of sessions whose
+	// eviction checkpoint is still being written. A resurrect of the same
+	// ID waits for it: reading the checkpoint and the journal while a
+	// compaction replaces the one and truncates the other could pair an
+	// old checkpoint with an emptied journal, or append past its end.
+	evicting map[string]*session
 	draining bool
 	// cornerGauges remembers every corner name a resident session ever
 	// published a gauge under, so a deleted session's gauge drops to zero
@@ -145,10 +162,11 @@ type Server struct {
 }
 
 // New builds a server, creating the snapshot directory if needed and
-// resuming every persisted session found there. Corrupt snapshots are
-// quarantined (renamed to *.quarantine) and skipped — one bad blob never
-// blocks startup. The maintenance loop (idle eviction, write-behind
-// flushing) starts immediately.
+// resuming every persisted session found there. A session whose
+// checkpoint or journal is corrupt is quarantined (both files renamed to
+// *.quarantine) and skipped — one bad blob never blocks startup. The
+// maintenance loop (idle eviction, write-behind flushing) starts
+// immediately.
 func New(cfg Config) (*Server, error) {
 	base := DefaultConfig()
 	if cfg.MaxSessions <= 0 {
@@ -176,6 +194,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:          cfg,
 		inflight:     make(chan struct{}, cfg.MaxInFlight),
 		sessions:     make(map[string]*session),
+		evicting:     make(map[string]*session),
 		maintainStop: make(chan struct{}),
 		maintainDone: make(chan struct{}),
 	}
@@ -190,9 +209,9 @@ func New(cfg Config) (*Server, error) {
 	return sv, nil
 }
 
-// recoverSessions loads every *.ckpt under SnapshotDir. Unreadable or
-// unresumable snapshots are quarantined in place; everything else comes
-// back resident with its serving counters restored.
+// recoverSessions loads every *.ckpt under SnapshotDir and replays its
+// journal. Unreadable or unresumable sessions are quarantined in place;
+// everything else comes back resident with its serving counters restored.
 func (sv *Server) recoverSessions() {
 	entries, err := os.ReadDir(sv.cfg.SnapshotDir)
 	if err != nil {
@@ -204,12 +223,9 @@ func (sv *Server) recoverSessions() {
 			continue
 		}
 		id := strings.TrimSuffix(name, ".ckpt")
-		path := filepath.Join(sv.cfg.SnapshotDir, name)
-		s, err := sv.loadSnapshot(id, path)
+		s, err := sv.loadSnapshot(id)
 		if err != nil {
-			obsQuarantined.Inc()
-			obs.Event("session_quarantined", "id", id, "err", err.Error())
-			_ = os.Rename(path, path+".quarantine")
+			sv.quarantine(id, err)
 			continue
 		}
 		sv.sessions[id] = s
@@ -220,16 +236,75 @@ func (sv *Server) recoverSessions() {
 	sv.pairGaugesLocked()
 }
 
-// loadSnapshot reads and rebuilds one persisted session.
-func (sv *Server) loadSnapshot(id, path string) (*session, error) {
+// errJournal marks a journal that cannot be read or replayed.
+var errJournal = errors.New("journal")
+
+// loadSnapshot reads one persisted session's checkpoint, replays the
+// journal records after it and rebuilds the session, its journal open
+// for the next append. A torn last record is dropped and counted; the
+// append cuts it off.
+func (sv *Server) loadSnapshot(id string) (*session, error) {
 	if !idPattern.MatchString(id) {
 		return nil, fmt.Errorf("serve: snapshot id %q invalid", id)
 	}
+	path := sv.snapshotPath(id)
 	c, err := netio.LoadCheckpointFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return resumeSession(id, c, sv.cfg.STA, sv.cfg.Core)
+	st, err := os.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	var meta snapMeta
+	if len(c.State) > 0 {
+		if err := json.Unmarshal(c.State, &meta); err != nil {
+			return nil, fmt.Errorf("serve: session %s: snapshot state: %w", id, err)
+		}
+	}
+	jpath := sv.journalPath(id)
+	data, err := os.ReadFile(jpath)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("%w: %w", errJournal, err)
+	}
+	var scan *netio.JournalScan
+	if err == nil {
+		if scan, err = netio.ParseJournal(data); err != nil {
+			return nil, fmt.Errorf("%w: %w", errJournal, err)
+		}
+		if _, err := netio.ReplayJournal(c, meta.Seq, scan.Records); err != nil {
+			return nil, fmt.Errorf("%w: %w", errJournal, err)
+		}
+	}
+	s, err := resumeSession(id, c, sv.cfg.STA, sv.cfg.Core)
+	if err != nil {
+		return nil, err
+	}
+	s.ckptBytes = st.Size()
+	if scan == nil {
+		return s, nil
+	}
+	if s.jr, err = netio.OpenJournal(jpath, scan.Intact); err != nil {
+		return nil, fmt.Errorf("%w: %w", errJournal, err)
+	}
+	if scan.Dropped > 0 {
+		obsJournalTail.Inc()
+		obs.Event("journal_tail_dropped", "id", id, "bytes", scan.Dropped)
+	}
+	return s, nil
+}
+
+// quarantine sets aside a session that failed to load: its checkpoint and
+// journal are renamed *.quarantine, kept for forensics, never loaded.
+func (sv *Server) quarantine(id string, err error) {
+	obsQuarantined.Inc()
+	if errors.Is(err, errJournal) {
+		obs.Event("journal_corrupt", "id", id, "err", err.Error())
+	}
+	obs.Event("session_quarantined", "id", id, "err", err.Error())
+	for _, path := range []string{sv.snapshotPath(id), sv.journalPath(id)} {
+		_ = os.Rename(path, path+".quarantine")
+	}
 }
 
 // snapshotPath maps a session ID to its on-disk snapshot.
@@ -237,30 +312,137 @@ func (sv *Server) snapshotPath(id string) string {
 	return filepath.Join(sv.cfg.SnapshotDir, id+".ckpt")
 }
 
-// snapshotLocked persists s (caller holds s.mu). On injected or real
-// write failure the session stays dirty so the write-behind loop retries;
-// the previous on-disk snapshot is never clobbered (atomic rename).
-func (sv *Server) snapshotLocked(s *session) error {
+// journalPath maps a session ID to the journal beside its snapshot.
+func (sv *Server) journalPath(id string) string {
+	return filepath.Join(sv.cfg.SnapshotDir, id+".journal")
+}
+
+// persistLocked makes s's state durable (caller holds s.mu): its first
+// persist writes a full checkpoint, every later one appends a journal
+// record. Once the journal holds as many bytes as the checkpoint, the
+// same call compacts it into a fresh checkpoint; should that fail, the
+// appended record still carries the batch and the next persist retries.
+func (sv *Server) persistLocked(s *session) error {
 	if sv.cfg.SnapshotDir == "" {
 		return nil
 	}
-	if err := faultinject.Err(faultinject.ServeSnapshot); err != nil {
-		obsSnapshotErr.Inc()
+	if s.ckptBytes == 0 {
+		return sv.snapshotLocked(s)
+	}
+	if err := sv.appendLocked(s); err != nil {
 		return err
 	}
-	c, err := s.snapshotCheckpoint()
+	if s.jr.Size() >= s.ckptBytes {
+		_ = sv.snapshotLocked(s)
+	}
+	return nil
+}
+
+// appendLocked appends s's pending resizes and current state to its
+// journal as one record, fsynced. On injected or real failure the session
+// stays dirty and keeps its pending resizes for the next attempt. Caller
+// holds s.mu.
+func (sv *Server) appendLocked(s *session) error {
+	err := faultinject.Err(faultinject.ServeJournal)
+	if err == nil && s.jr == nil {
+		err = sv.createJournalLocked(s)
+	}
+	var r *netio.JournalRecord
 	if err == nil {
-		err = netio.SaveCheckpointFile(sv.snapshotPath(s.id), c)
+		r, err = s.journalRecord()
+	}
+	n := 0
+	if err == nil {
+		n, err = s.jr.Append(r)
 	}
 	if err != nil {
 		obsSnapshotErr.Inc()
 		obs.Event("snapshot_failed", "id", s.id, "err", err.Error())
 		return err
 	}
+	s.seq = r.Seq
+	s.pending = s.pending[:0]
+	s.dirty.Store(false)
+	s.lastSnap.Store(time.Now().UnixNano())
+	obsJournalAppends.Inc()
+	obsPersistBytes.Add(int64(n))
+	return nil
+}
+
+// createJournalLocked starts s's journal empty, replacing any file a
+// deleted session of the same ID left behind. Caller holds s.mu.
+func (sv *Server) createJournalLocked(s *session) error {
+	jr, err := netio.CreateJournal(sv.journalPath(s.id))
+	if err != nil {
+		return err
+	}
+	s.jr = jr
+	obsPersistBytes.Add(int64(netio.JournalHeaderLen))
+	return nil
+}
+
+// snapshotLocked writes s's full checkpoint (caller holds s.mu) and then
+// truncates its journal, whose records the checkpoint now covers. A crash
+// in between leaves stale records, which resume skips by sequence number.
+// The first checkpoint of a session starts its journal first, so no
+// record of an earlier session of the same ID can follow it. On injected
+// or real write failure the previous checkpoint is never clobbered
+// (atomic rename) and the session stays dirty for retry.
+func (sv *Server) snapshotLocked(s *session) error {
+	if sv.cfg.SnapshotDir == "" {
+		return nil
+	}
+	err := faultinject.Err(faultinject.ServeSnapshot)
+	if err == nil && s.ckptBytes == 0 && s.jr == nil {
+		err = sv.createJournalLocked(s)
+	}
+	var c *netio.Checkpoint
+	if err == nil {
+		c, err = s.snapshotCheckpoint()
+	}
+	path := sv.snapshotPath(s.id)
+	if err == nil {
+		err = netio.SaveCheckpointFile(path, c)
+	}
+	var st os.FileInfo
+	if err == nil {
+		st, err = os.Stat(path)
+	}
+	if err != nil {
+		obsSnapshotErr.Inc()
+		obs.Event("snapshot_failed", "id", s.id, "err", err.Error())
+		return err
+	}
+	s.ckptBytes = st.Size()
+	s.pending = s.pending[:0]
 	s.dirty.Store(false)
 	s.lastSnap.Store(time.Now().UnixNano())
 	obsSnapshotOK.Inc()
+	obsPersistBytes.Add(s.ckptBytes)
+	if s.jr != nil && s.jr.Size() > int64(netio.JournalHeaderLen) {
+		if err := s.jr.Truncate(); err != nil {
+			obs.Event("journal_truncate_failed", "id", s.id, "err", err.Error())
+		} else {
+			obsJournalCompactions.Inc()
+		}
+	}
 	return nil
+}
+
+// needsCheckpoint reports whether s's checkpoint misses anything: changes
+// not yet persisted, journal records, or no checkpoint at all. Caller
+// holds s.mu.
+func (sv *Server) needsCheckpoint(s *session) bool {
+	return sv.cfg.SnapshotDir != "" &&
+		(s.dirty.Load() || s.ckptBytes == 0 || (s.jr != nil && s.jr.Size() > int64(netio.JournalHeaderLen)))
+}
+
+// closeJournalLocked closes s's journal file; later appends fail instead
+// of starting a new journal. Caller holds s.mu.
+func (s *session) closeJournalLocked() {
+	if s.jr != nil {
+		_ = s.jr.Close() // every append was fsynced; a failed close loses nothing
+	}
 }
 
 // getSession returns the resident session for id, resurrecting it from
@@ -268,7 +450,7 @@ func (sv *Server) snapshotLocked(s *session) error {
 // concurrently; acquire reports that and callers retry.
 func (sv *Server) getSession(id string) *session {
 	sv.mu.Lock()
-	s := sv.sessions[id]
+	s, ev := sv.sessions[id], sv.evicting[id]
 	sv.mu.Unlock()
 	if s != nil {
 		s.touch(time.Now())
@@ -277,27 +459,29 @@ func (sv *Server) getSession(id string) *session {
 	if sv.cfg.SnapshotDir == "" {
 		return nil
 	}
-	path := sv.snapshotPath(id)
-	if _, err := os.Stat(path); err != nil {
+	if ev != nil {
+		<-ev.evicted
+	}
+	if _, err := os.Stat(sv.snapshotPath(id)); err != nil {
 		return nil
 	}
-	loaded, err := sv.loadSnapshot(id, path)
+	loaded, err := sv.loadSnapshot(id)
 	if err != nil {
-		obsQuarantined.Inc()
-		obs.Event("session_quarantined", "id", id, "err", err.Error())
-		_ = os.Rename(path, path+".quarantine")
+		sv.quarantine(id, err)
 		return nil
 	}
 	obsResurrected.Inc()
 	return sv.insert(loaded)
 }
 
-// insert adds s to the registry (keeping a racing earlier insert) and
-// evicts LRU sessions beyond MaxSessions.
+// insert adds s to the registry (keeping a racing earlier insert, and
+// closing the journal s opened) and evicts LRU sessions beyond
+// MaxSessions.
 func (sv *Server) insert(s *session) *session {
 	sv.mu.Lock()
 	if cur, ok := sv.sessions[s.id]; ok {
 		sv.mu.Unlock()
+		s.closeJournalLocked()
 		cur.touch(time.Now())
 		return cur
 	}
@@ -308,7 +492,7 @@ func (sv *Server) insert(s *session) *session {
 		if v == nil {
 			break
 		}
-		delete(sv.sessions, v.id)
+		sv.takeForEvictionLocked(v)
 		victims = append(victims, v)
 	}
 	obsSessions.SetInt(len(sv.sessions))
@@ -370,9 +554,18 @@ func (sv *Server) lruLocked(keep *session) *session {
 	return victim
 }
 
-// evict snapshots and tombstones a session already removed from the
-// registry. Waiters queued on its lock see the tombstone and tell their
-// clients to retry; the retry resurrects the snapshot.
+// takeForEvictionLocked moves s from the registry to the evicting set.
+// Caller holds sv.mu.
+func (sv *Server) takeForEvictionLocked(s *session) {
+	delete(sv.sessions, s.id)
+	s.evicted = make(chan struct{})
+	sv.evicting[s.id] = s
+}
+
+// evict checkpoints and tombstones a session taken out of the registry by
+// takeForEvictionLocked. Waiters queued on its lock see the tombstone and
+// tell their clients to retry; the retry resurrects the session from its
+// checkpoint and journal once they are written.
 func (sv *Server) evict(s *session, why string) {
 	if why == "lru" {
 		obsEvictLRU.Inc()
@@ -385,10 +578,17 @@ func (sv *Server) evict(s *session, why string) {
 	if err := faultinject.Err(faultinject.ServeEvict); err != nil {
 		obsSnapshotErr.Inc()
 		obs.Event("snapshot_failed", "id", s.id, "err", err.Error())
-	} else {
+	} else if sv.needsCheckpoint(s) {
 		_ = sv.snapshotLocked(s)
 	}
+	s.closeJournalLocked()
 	s.mu.Unlock()
+	sv.mu.Lock()
+	if sv.evicting[s.id] == s {
+		delete(sv.evicting, s.id)
+	}
+	sv.mu.Unlock()
+	close(s.evicted)
 }
 
 // Sweep runs one maintenance pass at the given time: idle sessions are
@@ -400,9 +600,9 @@ func (sv *Server) Sweep(now time.Time) {
 	var idle []*session
 	sv.mu.Lock()
 	if sv.cfg.IdleTimeout > 0 {
-		for id, s := range sv.sessions {
+		for _, s := range sv.sessions {
 			if now.Sub(time.Unix(0, s.lastUsed.Load())) > sv.cfg.IdleTimeout && s.queued.Load() == 0 {
-				delete(sv.sessions, id)
+				sv.takeForEvictionLocked(s)
 				idle = append(idle, s)
 			}
 		}
@@ -422,7 +622,7 @@ func (sv *Server) Sweep(now time.Time) {
 	for _, s := range flush {
 		if s.mu.TryLock() {
 			if !s.deleted {
-				_ = sv.snapshotLocked(s)
+				_ = sv.persistLocked(s)
 			}
 			s.mu.Unlock()
 		}
@@ -480,9 +680,10 @@ func (sv *Server) Addr() string {
 
 // Shutdown drains and persists: new requests are rejected with 503 +
 // Retry-After, in-flight requests run to completion (bounded by ctx),
-// then every dirty session is snapshotted. This is the SIGTERM path; a
-// process killed without it still resumes from its last write-behind
-// snapshot, just further back.
+// then every session whose checkpoint misses anything is checkpointed,
+// which truncates its journal, and every journal is closed. This is the
+// SIGTERM path; a process killed without it still resumes from its
+// checkpoint and journal, as of its last append.
 func (sv *Server) Shutdown(ctx context.Context) error {
 	sv.mu.Lock()
 	if sv.draining {
@@ -519,19 +720,15 @@ func (sv *Server) Shutdown(ctx context.Context) error {
 	var firstErr error
 	for _, s := range all {
 		s.mu.Lock()
-		if s.dirty.Load() || sv.neverSnapshotted(s) {
+		if sv.needsCheckpoint(s) {
 			if err := sv.snapshotLocked(s); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
+		s.closeJournalLocked()
 		s.mu.Unlock()
 	}
 	return firstErr
-}
-
-// neverSnapshotted reports whether s has no on-disk snapshot yet.
-func (sv *Server) neverSnapshotted(s *session) bool {
-	return sv.cfg.SnapshotDir != "" && s.lastSnap.Load() == 0
 }
 
 // retryAfterHint returns a jittered backoff hint. The jitter is a

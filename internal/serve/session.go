@@ -57,16 +57,33 @@ type session struct {
 	fault      string
 	deleted    bool // session evicted or dropped; waiters must retry
 
+	// Persistence state, guarded by mu. The session's durable form is its
+	// last checkpoint plus the journal records appended since. pending
+	// lists the resizes applied to d since the last record or checkpoint,
+	// in application order, including those of a batch whose
+	// recalibration failed: they are in the design all the same.
+	jr        *netio.Journal // open journal; nil until the session first needs one
+	seq       uint64         // sequence number of the last record or checkpoint persisted
+	ckptBytes int64          // size of the session's checkpoint on disk; 0 while it has none
+	pending   []netio.JournalResize
+
+	// evicted is made when the session is taken out of the registry for
+	// eviction and closed once its eviction checkpoint is written.
+	evicted chan struct{}
+
 	lastUsed atomic.Int64 // unix nanos of the last touch, for LRU and idle eviction
-	dirty    atomic.Bool  // snapshot pending
-	lastSnap atomic.Int64 // unix nanos of the last successful snapshot
+	dirty    atomic.Bool  // changes not yet persisted
+	lastSnap atomic.Int64 // unix nanos of the last successful persist
 }
 
 // snapMeta is the serve-owned state blob embedded in a session's
-// checkpoint-v2 snapshot. The design and weights live in the checkpoint
-// envelope; this records the serving counters and flags a resumed
-// session reports back to clients.
+// checkpoint-v2 snapshot and in each of its journal records. The design
+// and weights live in the checkpoint envelope and the records; this
+// records the serving counters and flags a resumed session reports back
+// to clients, and the sequence number of the last journal record the
+// state covers (0 in snapshots written before the journal).
 type snapMeta struct {
+	Seq        uint64            `json:"seq,omitempty"`
 	Source     string            `json:"source"`
 	ViewPair   string            `json:"view_pair,omitempty"`
 	Corners    []core.CornerSpec `json:"corners,omitempty"`
@@ -132,6 +149,7 @@ func resumeSession(id string, c *netio.Checkpoint, cfg sta.Config, opt core.Opti
 	s.degraded = meta.Degraded
 	s.partial = meta.Partial
 	s.fault = meta.Fault
+	s.seq = meta.Seq
 	s.lastSnap.Store(time.Now().UnixNano())
 	return s, nil
 }
@@ -249,18 +267,21 @@ type OpResult struct {
 
 // applyOps applies a batch of ops to the design, returning per-op results
 // and the deduplicated dirty instance set (each resized instance plus the
-// drivers of its input nets, whose loads changed). A hard error (unknown
-// instance or cell, clock-network target) reverts every op already
-// applied, leaving the design bit-identical to its pre-batch state.
-// Caller holds mu.
+// drivers of its input nets, whose loads changed). Each applied resize
+// joins the session's pending list for its next journal record. A hard
+// error (unknown instance or cell, clock-network target) reverts every op
+// already applied, leaving the design and the pending list bit-identical
+// to their pre-batch state. Caller holds mu.
 func (s *session) applyOps(ops []Op) ([]OpResult, []int, error) {
 	results := make([]OpResult, len(ops))
 	dirtySet := map[int]bool{}
 	var applied []func()
+	mark := len(s.pending)
 	revert := func() {
 		for i := len(applied) - 1; i >= 0; i-- {
 			applied[i]()
 		}
+		s.pending = s.pending[:mark]
 	}
 	for i, op := range ops {
 		if op.Instance < 0 || op.Instance >= len(s.d.Instances) {
@@ -307,6 +328,7 @@ func (s *session) applyOps(ops []Op) ([]OpResult, []int, error) {
 		}
 		in, prev := inst, from
 		applied = append(applied, func() { in.Cell = prev })
+		s.pending = append(s.pending, netio.JournalResize{Instance: op.Instance, Cell: to.Name})
 		results[i] = OpResult{Applied: true}
 		for _, id := range transform.ModifiedSet(&transform.Analysis{D: s.d, G: s.g}, op.Instance) {
 			dirtySet[id] = true
@@ -317,12 +339,17 @@ func (s *session) applyOps(ops []Op) ([]OpResult, []int, error) {
 		dirty = append(dirty, id)
 	}
 	sort.Ints(dirty)
+	if len(s.pending) > mark {
+		s.dirty.Store(true)
+	}
 	return results, dirty, nil
 }
 
-// snapshotCheckpoint builds the session's persistent form. Caller holds mu.
-func (s *session) snapshotCheckpoint() (*netio.Checkpoint, error) {
-	blob, err := json.Marshal(&snapMeta{
+// stateBlob encodes the session's serving state as covering sequence
+// number seq. Caller holds mu.
+func (s *session) stateBlob(seq uint64) (json.RawMessage, error) {
+	return json.Marshal(&snapMeta{
+		Seq:        seq,
 		Source:     s.source,
 		ViewPair:   s.cal.Pair(),
 		Corners:    s.opt.Corners,
@@ -332,8 +359,24 @@ func (s *session) snapshotCheckpoint() (*netio.Checkpoint, error) {
 		Partial:    s.partial,
 		Fault:      s.fault,
 	})
+}
+
+// snapshotCheckpoint builds the session's full persistent form, covering
+// every journal record appended so far. Caller holds mu.
+func (s *session) snapshotCheckpoint() (*netio.Checkpoint, error) {
+	blob, err := s.stateBlob(s.seq)
 	if err != nil {
 		return nil, err
 	}
 	return &netio.Checkpoint{Design: s.d, Weights: s.weights, State: blob}, nil
+}
+
+// journalRecord builds the session's next journal record: the pending
+// resizes and the state after them. Caller holds mu.
+func (s *session) journalRecord() (*netio.JournalRecord, error) {
+	blob, err := s.stateBlob(s.seq + 1)
+	if err != nil {
+		return nil, err
+	}
+	return &netio.JournalRecord{Seq: s.seq + 1, Resizes: s.pending, Weights: s.weights, State: blob}, nil
 }

@@ -6,7 +6,10 @@
 # SIGTERM the daemon (graceful drain + snapshot), restart it on the same
 # snapshot directory, and assert the resumed sessions report the same
 # WNS, TNS and endpoint count in their status before any slack read,
-# serve byte-identical slacks and keep their corner sets.
+# serve byte-identical slacks and keep their corner sets. Then apply two
+# more batches, which only the session's journal records, SIGKILL the
+# daemon (no drain), restart it, and assert the same of the replayed
+# session; after the deletes no journal may be left.
 set -euo pipefail
 
 tmp=$(mktemp -d)
@@ -31,8 +34,7 @@ start_daemon() {
     fi
 }
 
-log1=$(mktemp)
-start_daemon "$log1"
+start_daemon "$tmp/calibd-1.log"
 trap 'kill "$pid" 2>/dev/null || true' EXIT
 
 created=$(curl -fsS -X POST "http://$addr/v1/sessions" \
@@ -131,8 +133,7 @@ esac
 kill -TERM "$pid"
 wait "$pid" 2>/dev/null || true
 
-log2=$(mktemp)
-start_daemon "$log2"
+start_daemon "$tmp/calibd-2.log"
 trap 'kill "$pid" 2>/dev/null || true' EXIT
 
 # The first request to the resumed session is its status: it must report
@@ -176,12 +177,66 @@ same_slacks() {
 same_slacks smoke "$before"
 same_slacks slowsel "$scbefore"
 
+# The crash leg: two more batches, downsizing 225-229 back. Each is
+# journaled before its answer, so a SIGKILL (no drain, no checkpoint)
+# loses neither.
+for ops in '{"op":"downsize","instance":225},{"op":"downsize","instance":226},{"op":"downsize","instance":227}' \
+    '{"op":"downsize","instance":228},{"op":"downsize","instance":229}'; do
+    crashbatch=$(curl -fsS -X POST "http://$addr/v1/sessions/smoke/batch" -d "{\"ops\":[$ops]}")
+    case "$crashbatch" in
+    *'"applied":true'*) ;;
+    *)
+        echo "smoke_calibd: crash-leg batch applied nothing: $crashbatch" >&2
+        exit 1
+        ;;
+    esac
+done
+# The journal's 12-byte header alone would mean the batches were not
+# journaled.
+if [ ! -s "$snaps/smoke.journal" ] || [ "$(wc -c <"$snaps/smoke.journal")" -le 12 ]; then
+    echo "smoke_calibd: no journal records beside the smoke session's checkpoint" >&2
+    ls -l "$snaps" >&2
+    exit 1
+fi
+crashslacks=$(curl -fsS "http://$addr/v1/sessions/smoke/slacks")
+crashstatus=$(timing "$(curl -fsS "http://$addr/v1/sessions/smoke")")
+
+# The shell reports the SIGKILL on stderr; it is the point, not news.
+{
+    kill -KILL "$pid"
+    wait "$pid"
+} 2>/dev/null || true
+
+start_daemon "$tmp/calibd-after-kill.log"
+trap 'kill "$pid" 2>/dev/null || true' EXIT
+
+status=$(curl -fsS "http://$addr/v1/sessions/smoke")
+case "$status" in
+*'"applied_batches":3'*) ;;
+*)
+    echo "smoke_calibd: session replayed after SIGKILL lost batches: $status" >&2
+    exit 1
+    ;;
+esac
+if [ "$(timing "$status")" != "$crashstatus" ]; then
+    echo "smoke_calibd: replayed status timing differs from the one before SIGKILL" >&2
+    echo "before: $crashstatus" >&2
+    echo "after:  $(timing "$status")" >&2
+    exit 1
+fi
+same_slacks smoke "$crashslacks"
+
 curl -fsS -X DELETE "http://$addr/v1/sessions/smoke" >/dev/null
 curl -fsS -X DELETE "http://$addr/v1/sessions/mc" >/dev/null
 curl -fsS -X DELETE "http://$addr/v1/sessions/slowsel" >/dev/null
+left=$(find "$snaps" -name '*.journal')
+if [ -n "$left" ]; then
+    echo "smoke_calibd: journals left after the deletes: $left" >&2
+    exit 1
+fi
 
 kill -TERM "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
 rm -rf "$tmp"
 
-echo "smoke_calibd: ok (resumed status timing and slacks identical across restart, slow selection corner included; corner set preserved)"
+echo "smoke_calibd: ok (resumed status timing and slacks identical across SIGTERM and SIGKILL restarts, slow selection corner included; corner set preserved; no journal left after delete)"
