@@ -10,9 +10,11 @@
 // topological levels, worst-casing depth and bounding-box DPs, the clock
 // index, clock insertion delays and the leaf-pair CRPR credit cache — only
 // depends on the design, not on the run. A Session computes that state
-// once; each Run then costs exactly one forward/backward propagation and
-// allocates nothing on the steady-state path (Release returns a Result's
-// buffers to the session pool). A structural edit of the data network
+// once; each Run then costs exactly one forward/backward propagation, and
+// on the steady-state path allocates nothing but its *Result header
+// (Release returns a Result's buffers to the session pool, and every
+// pass goes to the worker pool through a par.Body those buffers keep;
+// TestRunSteadyStateZeroAlloc). A structural edit of the data network
 // (buffer insertion, retiming) needs a new graph and session, but no
 // rebuild: Session.Derive patches the graph's touched rows, re-derives
 // the DP state over the edit's cones and shares the clock state while
@@ -24,7 +26,10 @@
 // (Config.Parallelism; 0 means runtime.NumCPU()). Every instance's values
 // are computed independently from already-final fanins and written to that
 // instance's slot only — no accumulation across goroutines — so results
-// are bitwise identical at every parallelism setting, including 1.
+// are bitwise identical at every parallelism setting, including 1. A Run
+// touches the netlist in the order it is laid out: one pass over instance
+// IDs first stages each instance's output load and wire delay in its own
+// slots, and each level lists its instances by ascending ID.
 //
 // The analysis semantics (worst-depth/worst-distance AOCV derating,
 // worst-slew merging, conservative CRPR crediting, setup/hold slacks,

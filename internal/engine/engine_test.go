@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"mgba/internal/gen"
 	"mgba/internal/graph"
 	"mgba/internal/netlist"
+	"mgba/internal/obs"
 	"mgba/internal/rng"
 )
 
@@ -380,4 +382,35 @@ func TestConcurrentRuns(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestRunSteadyStateZeroAlloc pins the cost model of a reused session:
+// once its clock state, levels and scratch pool are warm, a Run and its
+// Release allocate at most one object, the *Result header, at Parallelism
+// 1 and 2, with observability off or on. Every pass of the Run goes
+// through the par.Body its scratch set keeps.
+func TestRunSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	prev := obs.Enabled()
+	defer obs.Enable(prev)
+	for _, dcfg := range []gen.Config{gen.Suite()[2], gen.Suite()[7]} {
+		_, g := buildDesign(t, dcfg)
+		s := engine.NewSession(g)
+		for _, p := range []int{1, 2} {
+			cfg := engine.DefaultConfig()
+			cfg.Parallelism = p
+			run := func() { s.Run(cfg).Release() }
+			run()
+			for _, on := range []bool{false, true} {
+				obs.Enable(on)
+				runtime.GC()
+				if a := testing.AllocsPerRun(20, run); a > 1 {
+					t.Fatalf("%s par %d obs %v: Run allocates %.0f/op, want at most 1 (the Result header)",
+						dcfg.Name, p, on, a)
+				}
+			}
+		}
+	}
 }

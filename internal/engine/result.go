@@ -136,44 +136,43 @@ func (r *Result) CRPRCredit(launchIdx, captureIdx int) float64 {
 	return r.cs.credits[ci.LeafOfFF[launchIdx]][ci.LeafOfFF[captureIdx]]
 }
 
-// nominalDelay computes the pre-derate delay of instance v given its worst
-// input slew, honouring overrides.
-func (r *Result) nominalDelay(v int, inSlew float64) float64 {
-	if ov, ok := r.Cfg.DelayOverride[v]; ok {
-		return ov
-	}
-	d := r.G.D
-	in := d.Instances[v]
-	if in.Output < 0 {
-		return 0
-	}
-	load := d.LoadCap(d.Nets[in.Output])
-	return in.Cell.Delay(load, inSlew)
-}
-
-// forwardAll propagates worst slews and max/min arrivals level by level.
-// Levels are data-independent internally, so each one is partitioned
-// across the worker pool; every worker writes only the slots of its own
-// instances, which keeps the parallel schedule bitwise identical to the
-// sequential one.
+// forwardAll stages every instance's netlist reads, then propagates
+// worst slews and max/min arrivals level by level. The stage pass sweeps
+// instance IDs upward and each level lists its instances by ascending ID,
+// so both walk the netlist's instances, nets and sink lists forward
+// through memory. The instances of a level are independent of each
+// other, so each level is partitioned across the worker pool; every
+// worker writes only the slots of its own instances, which keeps any
+// order within a level, and the parallel schedule, bitwise identical to
+// the sequential one.
 func (r *Result) forwardAll() {
 	s := r.S
+	r.parallelFor(passStage, 0, len(r.NominalDelay))
 	for l := 0; l+1 < len(s.levelOff); l++ {
-		lo, hi := s.levelOff[l], s.levelOff[l+1]
-		r.parallelFor(hi-lo, func(a, b int) {
-			for i := lo + a; i < lo+b; i++ {
-				r.evalInstance(int(s.levelOrder[i]))
-			}
-		})
+		r.parallelFor(passForward, s.levelOff[l], s.levelOff[l+1]-s.levelOff[l])
 	}
-	r.collectEndpointArrivals()
+	r.parallelFor(passEndpoints, 0, len(r.G.D.FFs))
 }
 
-// evalInstance recomputes the slew, delays and arrivals of one instance
-// from its (already final) fanins.
-func (r *Result) evalInstance(v int) {
+// stage writes the two netlist reads evalInstance needs of instance v
+// into v's own slots: its output net's load into NominalDelay, where
+// evalInstance reads it back for the delay and the output slew before
+// overwriting it with the delay, and the net's wire delay into
+// WireDelay, its final value. An instance that drives no net gets zeros.
+func (r *Result) stage(v int) {
 	d := r.G.D
-	in := d.Instances[v]
+	if out := d.Instances[v].Output; out >= 0 {
+		n := d.Nets[out]
+		r.NominalDelay[v], r.WireDelay[v] = d.LoadCap(n), n.WireDelay
+	} else {
+		r.NominalDelay[v], r.WireDelay[v] = 0, 0
+	}
+}
+
+// evalInstance recomputes the slew, delays and arrivals of one staged
+// instance from its (already final) fanins.
+func (r *Result) evalInstance(v int) {
+	in := r.G.D.Instances[v]
 
 	// Worst input slew and input arrival window.
 	var worstSlew float64
@@ -203,37 +202,25 @@ func (r *Result) evalInstance(v int) {
 		}
 	}
 
-	nom := r.nominalDelay(v, worstSlew)
+	// The pre-derate delay and the output slew, both from the staged
+	// load; an override fixes the delay and zeroes the slew.
+	load := r.NominalDelay[v]
+	var nom, slew float64
+	if ov, ok := r.Cfg.DelayOverride[v]; ok {
+		nom = ov
+	} else if in.Output >= 0 {
+		nom = in.Cell.Delay(load, worstSlew)
+		slew = in.Cell.OutputSlew(load, worstSlew)
+	}
 	der := r.lateDerate(v)
 	r.NominalDelay[v] = nom
 	r.Derate[v] = der
 	r.CellDelay[v] = nom * der * r.weight(v)
-	if in.Output >= 0 {
-		r.WireDelay[v] = d.Nets[in.Output].WireDelay
-		if _, ok := r.Cfg.DelayOverride[v]; ok {
-			r.Slew[v] = 0
-		} else {
-			r.Slew[v] = in.Cell.OutputSlew(d.LoadCap(d.Nets[in.Output]), worstSlew)
-		}
-	} else {
-		r.WireDelay[v] = 0
-		r.Slew[v] = 0
-	}
+	r.Slew[v] = slew
 	r.ArrivalOut[v] = maxAt + r.CellDelay[v]
 	// Hold analysis uses the same derated delay basis; the pessimism gap
 	// for hold comes from the max/min window, kept simple deliberately.
 	r.MinArrival[v] = minAt + r.CellDelay[v]
-}
-
-// collectEndpointArrivals refreshes the per-endpoint D-pin arrival windows
-// from the final instance arrivals. Endpoints are independent, so the scan
-// is partitioned across workers.
-func (r *Result) collectEndpointArrivals() {
-	r.parallelFor(len(r.G.D.FFs), func(lo, hi int) {
-		for fi := lo; fi < hi; fi++ {
-			r.collectEndpoint(fi)
-		}
-	})
 }
 
 // collectEndpoint refreshes endpoint fi's D-pin arrival window from its
@@ -303,19 +290,9 @@ func (r *Result) endpointSlacks() {
 // independent.
 func (r *Result) backwardAll() {
 	s := r.S
-	r.parallelFor(len(r.RequiredOut), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r.RequiredOut[i] = unconstrained
-		}
-	})
+	r.parallelFor(passResetRequired, 0, len(r.RequiredOut))
 	for l := len(s.levelOff) - 2; l >= 0; l-- {
-		lo, hi := s.levelOff[l], s.levelOff[l+1]
-		r.parallelFor(hi-lo, func(a, b int) {
-			for i := lo + a; i < lo+b; i++ {
-				v := int(s.levelOrder[i])
-				r.RequiredOut[v] = r.requiredAt(v)
-			}
-		})
+		r.parallelFor(passBackward, s.levelOff[l], s.levelOff[l+1]-s.levelOff[l])
 	}
 }
 
@@ -400,6 +377,7 @@ func (r *Result) Update(modified []int) {
 	w := 0
 	for p := bitset.PopLow(cs.fwd, &w); p >= 0; p = bitset.PopLow(cs.fwd, &w) {
 		v := int(g.Topo[p])
+		r.stage(v)
 		r.evalInstance(v)
 		evals++
 		s.growCone(cs, v)

@@ -48,8 +48,8 @@ type Session struct {
 	// Levelization of the data DAG, built by the first Run: level 0 holds
 	// the flip-flops (path sources), level l>0 the combinational gates
 	// whose deepest fanin sits at level l-1. levelOrder lists instances
-	// grouped by level (topo order within a level); level l spans
-	// levelOrder[levelOff[l]:levelOff[l+1]].
+	// grouped by level, by ascending instance ID within a level; level l
+	// spans levelOrder[levelOff[l]:levelOff[l+1]].
 	levelOnce  sync.Once
 	levelOrder []int32
 	levelOff   []int
@@ -256,9 +256,12 @@ func (s *Session) NumFFs() int { return s.nFF }
 
 // levelize groups the data instances by topological level. Within a level
 // no instance feeds another (any data edge raises the sink's level), so a
-// level's instances can be evaluated in any order — or in parallel. Run
-// calls it through levelOnce: a session that only ever Rebases and
-// Updates never needs it.
+// level's instances can be evaluated in any order — or in parallel — with
+// the same bits. The levels are computed in Topo order; each level's
+// bucket is then filled by walking instance IDs upward (O(n), no sort),
+// so a sweep of a level walks the netlist's objects forward through
+// memory. Run calls it through levelOnce: a session that only ever
+// Rebases and Updates never needs it.
 func (s *Session) levelize() {
 	g := s.G
 	d := g.D
@@ -291,9 +294,11 @@ func (s *Session) levelize() {
 	}
 	s.levelOrder = make([]int32, len(g.Topo))
 	fill := append([]int(nil), s.levelOff[:maxLevel+1]...)
-	for _, v := range g.Topo {
-		s.levelOrder[fill[level[v]]] = v
-		fill[level[v]]++
+	for v, p := range g.Pos {
+		if p >= 0 {
+			s.levelOrder[fill[level[v]]] = int32(v)
+			fill[level[v]]++
+		}
 	}
 }
 
@@ -507,6 +512,8 @@ type scratch struct {
 	nominalDelay, derate, cellDelay, wireDelay []float64
 	slew, arrivalOut, requiredOut, minArrival  []float64
 	dataAtD, minAtD, slack, holdSlack          []float64
+
+	sweep sweep // the par.Body of the Run holding the set
 }
 
 func newScratch(n, nf int) *scratch {
@@ -566,7 +573,8 @@ func (s *Session) getScratch() *scratch {
 
 // Run executes one full forward/backward analysis under cfg, drawing its
 // per-run buffers from the session pool. Release the returned Result when
-// it is no longer needed to make the next Run allocation-free.
+// it is no longer needed: the next Run then reuses its buffers and
+// allocates nothing but its *Result header, at any Parallelism.
 func (s *Session) Run(cfg Config) *Result {
 	tRun := obs.Clock()
 	s.levelOnce.Do(s.levelize)

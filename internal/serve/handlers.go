@@ -243,10 +243,7 @@ func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	sv.mu.Lock()
-	_, exists := sv.sessions[req.ID]
-	sv.mu.Unlock()
-	if exists {
+	if sv.idTaken(req.ID) {
 		writeError(w, http.StatusConflict, "session %q already exists", req.ID)
 		return
 	}
@@ -290,6 +287,27 @@ func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		sv.flushAfterBatch(s)
 	}
 	writeJSON(w, http.StatusCreated, sv.statusLocked(s))
+}
+
+// idTaken reports whether id names a session, resident or not: one in
+// the registry, one being evicted, or one whose checkpoint sits in the
+// snapshot directory (evicted, and resurrected by its next request). A
+// new session under such an ID would overwrite the old one's checkpoint
+// and journal on its first persist. An ID whose files were all
+// quarantined is free.
+func (sv *Server) idTaken(id string) bool {
+	sv.mu.Lock()
+	_, resident := sv.sessions[id]
+	_, evicting := sv.evicting[id]
+	sv.mu.Unlock()
+	if resident || evicting {
+		return true
+	}
+	if sv.cfg.SnapshotDir == "" {
+		return false
+	}
+	_, err := os.Stat(sv.snapshotPath(id))
+	return err == nil
 }
 
 func (sv *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -366,6 +366,41 @@ func TestLRUEvictionResurrectsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCreateRefusesEvictedID: an evicted session keeps its ID. Creating a
+// session under it answers 409 instead of replacing it, and the next
+// request resurrects the evicted session with its applied batch and its
+// weights.
+func TestCreateRefusesEvictedID(t *testing.T) {
+	sv, ts := testServer(t, func(c *Config) { c.MaxSessions = 1 })
+	d1 := testDesign(t, 300, 40)
+	d2 := testDesign(t, 150, 20)
+
+	createInline(t, ts.URL, "a", d1)
+	postBatch(t, ts.URL, "a", upsizeBatch(upsizableIDs(t, d1, 4)))
+	before := getSlacks(t, ts.URL, "a")
+
+	createInline(t, ts.URL, "b", d2) // evicts "a"
+	sv.mu.Lock()
+	_, resident := sv.sessions["a"]
+	sv.mu.Unlock()
+	if resident {
+		t.Fatal(`session "a" should have been LRU-evicted`)
+	}
+	resp := doJSON(t, "POST", ts.URL+"/v1/sessions",
+		createRequest{ID: "a", DesignJSON: designJSON(t, d2)}, nil)
+	wantStatus(t, resp, http.StatusConflict)
+
+	st := getStatus(t, ts.URL, "a") // resurrects, evicting "b"
+	if st.Applied != 1 || st.Instances != len(d1.Instances) {
+		t.Fatalf("resurrected session has %d batches over %d instances, want 1 over %d",
+			st.Applied, st.Instances, len(d1.Instances))
+	}
+	after := getSlacks(t, ts.URL, "a")
+	if !sameFloats(before.Weights, after.Weights) {
+		t.Fatal("resurrected weights differ from pre-eviction weights")
+	}
+}
+
 // TestIdleSweepEvicts: Sweep with a time beyond the idle window must
 // evict (with snapshot) without waiting for the background janitor.
 func TestIdleSweepEvicts(t *testing.T) {
